@@ -23,7 +23,7 @@ from .parser import parse_sequents, parse_theory
 from .report import all_match, emit_report, run_targets, summary_line
 from .sigma import acc_probe, sigma_of_structures
 from .structures import (
-    load_structure,
+    structure_from_json,
     structure_size,
     structure_to_json,
 )
@@ -75,12 +75,20 @@ def _cmd_models(args) -> int:
     return 0
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PhlError(f"{path}: invalid JSON at line {exc.lineno} "
+                           f"column {exc.colno}") from None
+
+
 def _cmd_hom(args) -> int:
-    with open(args.source) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.source)
     theory = _resolve_theory(args.theory or doc["signature"])
-    X = load_structure(args.source, theory)
-    Y = load_structure(args.target, theory)
+    X = structure_from_json(doc, theory)
+    Y = structure_from_json(_read_json(args.target), theory)
     if args.enumerate:
         homs = enumerate_homs(X, Y, limit=args.enumerate)
         print(f"{len(homs)} homomorphisms (limit {args.enumerate})")

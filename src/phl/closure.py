@@ -16,6 +16,8 @@ import itertools
 import json
 import os
 import random
+import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -175,26 +177,49 @@ def universe_cache_path(theory: Theory, k: int, cache_dir: str) -> str:
 
 
 def save_universe(U: ModelUniverse, cache_dir: str) -> str:
+    """Write the cache file whole: readers see the old file or the new one."""
     os.makedirs(cache_dir, exist_ok=True)
     path = universe_cache_path(U.theory, U.k, cache_dir)
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"theory": U.theory.name, "hash": theory_hash(U.theory),
-                             "k": U.k, "members": len(U.members)}) + "\n")
-        for key, X in zip(U.keys, U.members):
-            fh.write(json.dumps({"key": key, "structure": structure_to_json(X)},
-                                sort_keys=True) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps({"theory": U.theory.name, "hash": theory_hash(U.theory),
+                                 "k": U.k, "members": len(U.members)}) + "\n")
+            for key, X in zip(U.keys, U.members):
+                fh.write(json.dumps({"key": key, "structure": structure_to_json(X)},
+                                    sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 
 def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUniverse]:
+    """The cached universe, or None on a miss.
+
+    A file for another theory or bound is a silent miss.  A damaged file (a
+    line that is not JSON, or fewer or more rows than its header counts) is a
+    miss with a warning on stderr, so enumerate_models rebuilds it."""
     path = universe_cache_path(theory, k, cache_dir)
     if not os.path.exists(path):
         return None
+    lines = []
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    lines.append(json.loads(line))
+                except json.JSONDecodeError:
+                    return _damaged_cache(path, f"line {number} is not valid JSON")
+    if not lines:
+        return _damaged_cache(path, "the file is empty")
     head = lines[0]
     if head.get("hash") != theory_hash(theory) or head.get("k") != k:
         return None
+    if head.get("members") != len(lines) - 1:
+        return _damaged_cache(path, f"the header counts {head.get('members')} members "
+                                    f"but {len(lines) - 1} rows follow")
     members = []
     keys = []
     index = {}
@@ -205,6 +230,11 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
         members.append(X)
         keys.append(row["key"])
     return ModelUniverse(theory, k, members, keys, index)
+
+
+def _damaged_cache(path: str, reason: str) -> None:
+    print(f"warning: ignoring universe cache {path}: {reason}", file=sys.stderr)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -619,12 +619,6 @@ def compiled_osemiring() -> Theory:
     return compile_relative_theory(ordered_semiring())
 
 
-@lru_cache(maxsize=None)
-def pos_into_osemiring() -> TheoryMorphism:
-    return TheoryMorphism("pos-into-osemiring", get_theory("pos"),
-                          compiled_osemiring(), {"el": "el"}, {}, {"leq": "leq"})
-
-
 # ---------------------------------------------------------------------------
 # inventory
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterator, Optional
 
 from .syntax import (
@@ -30,6 +31,7 @@ from .syntax import (
     Top,
     ValidationError,
     Var,
+    and_parts,
 )
 
 
@@ -87,11 +89,6 @@ def structure_size(X: PartialStructure) -> int:
     return sum(len(X.carrier(s)) for s in X.theory.signature.sorts)
 
 
-def max_carrier(X: PartialStructure) -> int:
-    sizes = [len(X.carrier(s)) for s in X.theory.signature.sorts]
-    return max(sizes) if sizes else 0
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -144,14 +141,156 @@ def eval_formula(X: PartialStructure, context: tuple, formula: Formula) -> froze
     return frozenset(out)
 
 
-def sequent_witness(X: PartialStructure, seq: Sequent) -> Optional[dict]:
-    """First environment satisfying the premise but not the conclusion."""
+def interpreted_witness(X: PartialStructure, seq: Sequent) -> Optional[dict]:
+    """First environment satisfying the premise but not the conclusion.
+
+    The reference semantics: it walks the AST for every assignment.  Only the
+    tests use it, as the oracle for the compiled checkers."""
     names = [v for v, _ in seq.context]
     for vals in context_envs(X, seq.context):
         env = dict(zip(names, vals))
         if satisfies(X, env, seq.premise) and not satisfies(X, env, seq.conclusion):
             return env
     return None
+
+
+def sequent_witness(X: PartialStructure, seq: Sequent) -> Optional[dict]:
+    """First environment satisfying the premise but not the conclusion.
+
+    Runs the sequent's compiled checker, built on first use and kept on the
+    sequent itself; the result equals interpreted_witness(X, seq)."""
+    try:
+        check = seq._checker
+    except AttributeError:
+        check = _compile_sequent(seq)
+    return check(X)
+
+
+# A compiled checker is the interpreter's loop nest written out once per
+# sequent: one `for` per context variable, in context order.  A compound
+# premise term is looked up, and a premise atom tested, at the depth of its
+# last-bound variable, and a failure moves on to that variable's next value.
+# Only subtrees holding no witness are skipped, so the first witness found is
+# the interpreter's.  Carrier labels are never None, the value that stands for
+# "undefined" in a table lookup.
+
+_NO_TABLE = MappingProxyType({})
+
+
+def _compile_sequent(seq: Sequent) -> Callable[[PartialStructure], Optional[dict]]:
+    """Build the checker of a sequent and keep it on the sequent."""
+    namespace = {"NO_TABLE": _NO_TABLE}
+    exec(compile(_checker_source(seq), "<phl sequent checker>", "exec"), namespace)
+    check = namespace["check"]
+    object.__setattr__(seq, "_checker", check)
+    return check
+
+
+def _tuple_src(parts: list) -> str:
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+def _checker_source(seq: Sequent) -> str:
+    ctx = seq.context
+    depth = {v: i + 1 for i, (v, _) in enumerate(ctx)}  # a repeated name binds last
+    head = ["def check(X):", "    fns = X.functions", "    rels = X.relations",
+            "    car = X.carriers"]
+    symbols = {}
+
+    def symbol(kind: str, name: str) -> str:
+        if (kind, name) not in symbols:
+            local = f"{kind}{len(symbols)}"
+            symbols[kind, name] = local
+            source = {"F": f"fns.get({name!r}, NO_TABLE)", "R": f"rels.get({name!r}, ())",
+                      "C": f"car.get({name!r}, ())"}[kind]
+            head.append(f"    {local} = {source}")
+        return symbols[kind, name]
+
+    def var(name: str) -> tuple:
+        if name not in depth:
+            raise ValidationError(f"unbound variable '{name}'")
+        return f"x{depth[name] - 1}", depth[name]
+
+    # premise: (depth, test) pairs; each test must hold to go deeper
+    tests = []
+    bound = {}
+
+    def bind(term) -> tuple:
+        if isinstance(term, Var):
+            return var(term.name)
+        if term not in bound:
+            args = [bind(a) for a in term.args]
+            d = max((ad for _, ad in args), default=0)
+            local = f"t{len(bound)}"
+            lookup = f"{symbol('F', term.func)}.get({_tuple_src([a for a, _ in args])})"
+            tests.append((d, f"({local} := {lookup}) is not None"))
+            bound[term] = (local, d)
+        return bound[term]
+
+    for atom in and_parts(seq.premise):
+        if isinstance(atom, RelAtom):
+            args = [bind(a) for a in atom.args]
+            d = max((ad for _, ad in args), default=0)
+            tests.append((d, f"{_tuple_src([a for a, _ in args])} in {symbol('R', atom.rel)}"))
+        elif atom.lhs == atom.rhs:
+            bind(atom.lhs)
+        else:
+            (l, ld), (r, rd) = bind(atom.lhs), bind(atom.rhs)
+            tests.append((max(ld, rd), f"{l} == {r}"))
+
+    # conclusion: conditions chained with `and`, so a name bound by `:=`
+    # in one condition is defined in every later one
+    holds = []
+    fresh = {}
+    last = max((d for d, _ in tests), default=0)
+
+    def term(t) -> str:
+        nonlocal last
+        if isinstance(t, Var):
+            local, d = var(t.name)
+            last = max(last, d)
+            return local
+        if t in bound:
+            return bound[t][0]
+        if t not in fresh:
+            args = [term(a) for a in t.args]
+            local = f"c{len(fresh)}"
+            lookup = f"{symbol('F', t.func)}.get({_tuple_src(args)})"
+            holds.append(f"({local} := {lookup}) is not None")
+            fresh[t] = local
+        return fresh[t]
+
+    for atom in and_parts(seq.conclusion):
+        if isinstance(atom, RelAtom):
+            args = [term(a) for a in atom.args]
+            holds.append(f"{_tuple_src(args)} in {symbol('R', atom.rel)}")
+        elif atom.lhs == atom.rhs:
+            term(atom.lhs)
+        else:
+            l, r = term(atom.lhs), term(atom.rhs)
+            holds.append(f"{l} == {r}")
+    if not holds:  # the conclusion holds wherever the premise does
+        return "def check(X):\n    return None\n"
+
+    body = []
+    for d in range(len(ctx) + 1):
+        pad = "    " * (d + 1)
+        if d:
+            body.append(f"{'    ' * d}for x{d - 1} in {symbol('C', ctx[d - 1][1])}:")
+        fail = "continue" if d else "return None"
+        body += [f"{pad}if not ({test}): {fail}" for td, test in tests if td == d]
+        if d == last:
+            body.append(f"{pad}if not ({' and '.join(holds)}):")
+            break
+    # variables no atom mentions: the witness takes their first values
+    for d in range(last + 1, len(ctx) + 1):
+        body.append(f"{'    ' * (d + 1)}for x{d - 1} in {symbol('C', ctx[d - 1][1])}:")
+    witness = ", ".join(f"{v!r}: x{i}" for i, (v, _) in enumerate(ctx))
+    body.append(f"{'    ' * (len(ctx) + 2)}return {{{witness}}}")
+    if last < len(ctx):
+        body.append(f"{'    ' * (last + 2)}return None")  # an empty trailing carrier
+    body.append("    return None")
+    return "\n".join(head + body) + "\n"
 
 
 def sequent_valid(X: PartialStructure, seq: Sequent) -> bool:

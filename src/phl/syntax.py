@@ -150,10 +150,6 @@ def subterms(term: Term) -> Iterator[Term]:
             yield from subterms(a)
 
 
-def term_vars(term: Term) -> set:
-    return {t.name for t in subterms(term) if isinstance(t, Var)}
-
-
 def formula_atoms(formula: Formula) -> Iterator[Formula]:
     for part in and_parts(formula):
         yield part

@@ -147,12 +147,12 @@ def test_criterion_7_family_posets_and_group_actions(capsys):
 
 
 def test_criterion_8_enumerator_matches_naive_oracle(capsys):
-    from test_closure import naive_iso_classes, naive_labeled_models
+    from test_closure import naive_models_at_two
 
     with criterion(capsys, 8, "staged enumeration agrees with the naive oracle", 60):
         for name in theory_names():
             th = get_theory(name)
-            expected = len(naive_iso_classes(naive_labeled_models(th, 2)))
+            expected = len(naive_models_at_two(name))
             got = len(enumerate_models(th, 2).members)
             assert got == expected, (name, got, expected)
         U = enumerate_models(get_theory("pos"), 2)

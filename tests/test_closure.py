@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -17,23 +18,25 @@ from phl.closure import (
     product_embedding_closure,
     save_universe,
     surjective_image_closure,
+    universe_cache_path,
     ModelClass,
 )
 from phl.corpus import get_morphism, get_theory, theory_names
 from phl.parser import parse_sequents
 from phl.structures import (
     PartialStructure,
-    is_model,
+    interpreted_witness,
     is_isomorphic,
     structure_size,
 )
 
 
 # ---------------------------------------------------------------------------
-# an independent oracle: generate every table outright, filter by is_model,
-# and deduplicate by explicit permutation search.  No staging, no pruning,
-# no canonical forms; slow on purpose so it shares nothing with the real
-# enumerator beyond the definition of satisfaction.
+# an independent oracle: generate every table outright, filter with the
+# reference interpreter, and deduplicate by explicit permutation search.  No
+# staging, no pruning, no canonical forms and no compiled checks; slow on
+# purpose so it shares nothing with the real enumerator beyond the definition
+# of satisfaction.
 
 
 def naive_labeled_models(theory, k):
@@ -62,7 +65,7 @@ def naive_labeled_models(theory, k):
             for (r, tuplespace), flags in zip(rel_slots, combo[len(fn_slots):]):
                 rels[r] = {t for t, fl in zip(tuplespace, flags) if fl}
             X = PartialStructure(theory, carriers, fns, rels)
-            if is_model(X):
+            if all(interpreted_witness(X, seq) is None for seq in theory.axioms):
                 out.append(X)
     return out
 
@@ -126,12 +129,23 @@ def naive_iso_classes(labeled):
     return reps
 
 
+_NAIVE_AT_TWO = {}
+
+
+def naive_models_at_two(name):
+    """Oracle representatives of a corpus theory at bound 2, computed once
+    per session and shared with acceptance criterion 8."""
+    if name not in _NAIVE_AT_TWO:
+        _NAIVE_AT_TWO[name] = naive_iso_classes(naive_labeled_models(get_theory(name), 2))
+    return _NAIVE_AT_TWO[name]
+
+
 def test_enumeration_agrees_with_naive_oracle_everywhere():
     """Criterion: the staged enumerator and the oracle agree at bound 2 on
     the whole corpus."""
     for name in theory_names():
         th = get_theory(name)
-        expected = naive_iso_classes(naive_labeled_models(th, 2))
+        expected = naive_models_at_two(name)
         U = enumerate_models(th, 2)
         assert len(U.members) == len(expected), name
         # and the members really are pairwise non-isomorphic
@@ -160,6 +174,43 @@ def test_universe_cache_round_trip(tmp_path):
     # a second enumerate call hits the cache and yields the same universe
     U3 = enumerate_models(th, 2, cache_dir=str(tmp_path))
     assert U3.keys == U.keys
+    # the write went through a temporary file that is gone now
+    path = universe_cache_path(th, 2, str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+
+
+def _damage_and_reload(tmp_path, capsys, damage):
+    """Cache pos at k=2, damage the file, and check the next enumeration
+    warns, enumerates again and rewrites a file that loads cleanly."""
+    th = get_theory("pos")
+    U = enumerate_models(th, 2, cache_dir=str(tmp_path))
+    path = universe_cache_path(th, 2, str(tmp_path))
+    with open(path) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert len(lines) == 5  # the header and 4 members
+    with open(path, "w") as fh:
+        fh.write(damage(lines))
+    capsys.readouterr()
+    assert load_universe(th, 2, str(tmp_path)) is None
+    again = enumerate_models(th, 2, cache_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert err.count(f"warning: ignoring universe cache {path}") == 2
+    assert again.keys == U.keys
+    reloaded = load_universe(th, 2, str(tmp_path))
+    assert reloaded is not None and reloaded.keys == U.keys
+    assert capsys.readouterr().err == ""
+    return err
+
+
+def test_universe_cache_missing_rows_is_a_miss(tmp_path, capsys):
+    err = _damage_and_reload(tmp_path, capsys, lambda lines: "".join(lines[:3]))
+    assert "the header counts 4 members but 2 rows follow" in err
+
+
+def test_universe_cache_truncated_line_is_a_miss(tmp_path, capsys):
+    err = _damage_and_reload(tmp_path, capsys,
+                             lambda lines: "".join(lines[:-1]) + lines[-1][:20])
+    assert "line 5 is not valid JSON" in err
 
 
 def test_closure_p_of_empty_class_is_terminal():

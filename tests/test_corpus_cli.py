@@ -156,6 +156,17 @@ def test_cli_hom_found_and_missing(tmp_path, capsys):
     assert "no homomorphism" in out2
 
 
+def test_cli_hom_reports_invalid_json(tmp_path, capsys):
+    from phl.corpus import cycle_endo
+    good, bad = tmp_path / "c2.json", tmp_path / "bad.json"
+    save_structure(str(good), cycle_endo(2))
+    bad.write_text('{"signature": "end",\n  "carriers": [\n')
+    for args in ((str(bad), str(good)), (str(good), str(bad))):
+        code, out, err = run_cli(capsys, "hom", *args)
+        assert code == 1 and out == ""
+        assert err.strip() == f"{bad}: invalid JSON at line 3 column 1"
+
+
 def test_cli_hom_accepts_a_theory_file(tmp_path, capsys):
     src = print_theory(get_theory("pos")).replace("theory pos", "theory myord")
     tpath = tmp_path / "myord.phl"
