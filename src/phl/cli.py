@@ -185,8 +185,7 @@ def _cmd_repro(args) -> int:
                   f"{t.bound}")
         return 0
     ctx = RunContext(seed=args.seed, cache_dir=args.cache)
-    jobs = args.jobs if args.jobs else (4 if args.all or not args.names else 1)
-    rows = run_targets(names, ctx, jobs=jobs)
+    rows = run_targets(names, ctx)
     print(emit_report(rows, fmt=args.format, seed=args.seed))
     return 0 if all_match(rows) else 1
 
@@ -265,7 +264,8 @@ def main(argv=None) -> int:
     p.add_argument("--horizon", type=int, required=True, metavar="H")
     p.set_defaults(fn=_cmd_acc)
 
-    p = sub.add_parser("repro", help="run reproduction targets")
+    p = sub.add_parser("repro", help="run reproduction targets, one after "
+                                     "another in name order")
     p.add_argument("names", nargs="*", metavar="NAME")
     p.add_argument("--all", action="store_true",
                    help="run every registered target (the default when no "
@@ -274,7 +274,6 @@ def main(argv=None) -> int:
     p.add_argument("--tag", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=20250814)
-    p.add_argument("--jobs", type=int, default=0, metavar="N")
     p.add_argument("--cache", default=None, metavar="DIR")
     p.set_defaults(fn=_cmd_repro)
 

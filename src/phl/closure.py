@@ -75,47 +75,62 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
                      visit_budget: int = 40_000_000) -> ModelUniverse:
     """All models with every carrier of size at most k, up to isomorphism.
 
-    Tables are assigned symbol by symbol in declaration order and an axiom is
-    checked as soon as all its symbols are assigned, so totality and the like
-    prune early.  Members are deduplicated by canonical key and sorted by
-    size, making the universe deterministic.
+    A depth-first search over cells.  For each choice of carrier sizes it
+    sets one cell at a time: the function symbols, then the relation
+    symbols, in declaration order, and within a symbol the argument tuples
+    in itertools.product order.  A function cell takes None (undefined) and
+    then each carrier element, a relation cell False and then True, so
+    complete structures come in lexicographic order and the first labelled
+    representative of each isomorphism class is kept.
+
+    Once a cell is set, the axioms whose last symbol it belongs to are
+    checked three-valued, with that symbol's later cells open
+    (sequent_witness), and the branch is cut when every completion violates
+    one; at the symbol's last cell the check is exact.  `visit_budget`
+    bounds the search nodes (cell assignments).  Members are deduplicated by
+    canonical key and sorted by size, making the universe deterministic.
     """
     if cache_dir is not None:
         cached = load_universe(theory, k, cache_dir)
         if cached is not None:
             return cached
     sig = theory.signature
-    symbols = [("fn", f) for f in sig.functions] + [("rel", r) for r in sig.relations]
-    stage_axioms = {i: [] for i in range(len(symbols) + 1)}
+    symbols = [(f, sig.functions[f][0]) for f in sig.functions]
+    symbols += [(r, sig.relations[r]) for r in sig.relations]
+    ground = []
+    axioms_of = {name: [] for name, _ in symbols}  # by the last symbol mentioned
     for seq in theory.axioms:
         fns, rels = sequent_symbols(seq)
-        need = fns | rels
-        stage = 0
-        for i, (_, name) in enumerate(symbols):
-            if name in need:
-                stage = i + 1
-        stage_axioms[stage].append(seq)
+        named = [name for name, _ in symbols if name in fns or name in rels]
+        (axioms_of[named[-1]] if named else ground).append(seq)
 
     found = {}
     order = []
     visits = 0
 
-    def tables_for(X, kind, name):
-        if kind == "fn":
-            argsorts, result = sig.functions[name]
-            argspace = list(itertools.product(*(X.carrier(s) for s in argsorts)))
-            choices = (None,) + X.carrier(result)
-            for values in itertools.product(choices, repeat=len(argspace)):
-                yield {args: v for args, v in zip(argspace, values) if v is not None}
-        else:
-            argsorts = sig.relations[name]
-            tuplespace = list(itertools.product(*(X.carrier(s) for s in argsorts)))
-            for flags in itertools.product((False, True), repeat=len(tuplespace)):
-                yield {t for t, f in zip(tuplespace, flags) if f}
+    def cells_for(X):
+        """Cells in search order as (symbol, table, args, values, axioms,
+        open cells), and the axioms to check before the first cell."""
+        upfront = list(ground)
+        cells = []
+        for name, argsorts in symbols:
+            if name in sig.functions:
+                table = X.functions[name]
+                values = (None,) + X.carrier(sig.functions[name][1])
+            else:
+                table = X.relations[name]
+                values = (False, True)
+            space = list(itertools.product(*(X.carrier(s) for s in argsorts)))
+            if not space:  # checked exactly once the symbols before it are set
+                (cells[-1][4] if cells else upfront).extend(axioms_of[name])
+            for j, args in enumerate(space):
+                cells.append((name, table, args, values, list(axioms_of[name]),
+                              {name: frozenset(space[j + 1:])}))
+        return upfront, cells
 
-    def assign(X, i):
+    def assign(X, cells, c):
         nonlocal visits
-        if i == len(symbols):
+        if c == len(cells):
             key = canonical_key(X)
             if key not in found:
                 found[key] = PartialStructure(
@@ -126,31 +141,35 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
                 )
                 order.append(key)
             return
-        kind, name = symbols[i]
-        for table in tables_for(X, kind, name):
+        name, table, args, values, axioms, open_cells = cells[c]
+        fn = isinstance(table, dict)
+        for value in values:  # the first value leaves the cell absent
             visits += 1
             if visits > visit_budget:
+                sizes = ", ".join(f"{s}:{len(X.carrier(s))}" for s in sig.sorts)
                 raise BudgetError(
-                    f"model enumeration for '{theory.name}' at k={k} exceeded "
-                    f"{visit_budget} candidate tables")
-            if kind == "fn":
-                X.functions[name] = table
-            else:
-                X.relations[name] = table
-            if all(sequent_witness(X, seq) is None for seq in stage_axioms[i + 1]):
-                assign(X, i + 1)
-        if kind == "fn":
-            X.functions[name] = {}
+                    f"model enumeration of '{theory.name}' at k={k} stopped after "
+                    f"{visit_budget} search nodes (its budget), with carrier sizes "
+                    f"{sizes}, while assigning the cell {name}({', '.join(args)})")
+            if fn and value is not None:
+                table[args] = value
+            elif value is True:
+                table.add(args)
+            if all(sequent_witness(X, seq, open_cells) is None for seq in axioms):
+                assign(X, cells, c + 1)
+        if fn:
+            table.pop(args, None)
         else:
-            X.relations[name] = set()
+            table.discard(args)
 
     for sizes in itertools.product(range(k + 1), repeat=len(sig.sorts)):
         carriers = {s: tuple(str(x) for x in range(n)) for s, n in zip(sig.sorts, sizes)}
         X = PartialStructure(theory, carriers, {f: {} for f in sig.functions},
                              {r: set() for r in sig.relations})
-        if any(sequent_witness(X, seq) is not None for seq in stage_axioms[0]):
+        upfront, cells = cells_for(X)
+        if any(sequent_witness(X, seq) is not None for seq in upfront):
             continue
-        assign(X, 0)
+        assign(X, cells, 0)
 
     order.sort(key=lambda key: (structure_size(found[key]), key))
     members = []

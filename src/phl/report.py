@@ -3,13 +3,12 @@
 A report row records what was computed, what was expected, where the
 expectation comes from, and at which bound the computation ran.  JSON
 output is schema-versioned and byte-stable across runs except for the
-runtime fields; rows are assembled in target-name order no matter how the
-targets were scheduled.
+runtime fields.  Targets run one after another in target-name order; the
+work is pure-Python computation, which threads would not overlap.
 """
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .targets import RunContext, get_target
 
@@ -37,14 +36,8 @@ def run_target(name: str, ctx: RunContext) -> dict:
     }
 
 
-def run_targets(names, ctx: RunContext, jobs: int = 1) -> list:
-    names = sorted(names)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda n: run_target(n, ctx), names))
-    else:
-        rows = [run_target(n, ctx) for n in names]
-    return sorted(rows, key=lambda r: r["target"])
+def run_targets(names, ctx: RunContext) -> list:
+    return [run_target(n, ctx) for n in sorted(names)]
 
 
 def summary_line(rows) -> str:

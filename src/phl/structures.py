@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .syntax import (
     And,
@@ -154,16 +154,26 @@ def interpreted_witness(X: PartialStructure, seq: Sequent) -> Optional[dict]:
     return None
 
 
-def sequent_witness(X: PartialStructure, seq: Sequent) -> Optional[dict]:
+_EMPTY = MappingProxyType({})
+UNDECIDED = object()  # a conclusion value that depends on open cells
+
+
+def sequent_witness(X: PartialStructure, seq: Sequent,
+                    open: Mapping = _EMPTY) -> Optional[dict]:
     """First environment satisfying the premise but not the conclusion.
 
     Runs the sequent's compiled checker, built on first use and kept on the
-    sequent itself; the result equals interpreted_witness(X, seq)."""
+    sequent itself; the result equals interpreted_witness(X, seq).
+
+    `open` maps a symbol name to the argument tuples whose cells are not
+    decided yet; they must be absent from X's tables.  A witness is then
+    returned only where every completion of the open cells violates the
+    sequent.  With no open cells this is the exact check."""
     try:
         check = seq._checker
     except AttributeError:
         check = _compile_sequent(seq)
-    return check(X)
+    return check(X, open)
 
 
 # A compiled checker is the interpreter's loop nest written out once per
@@ -173,13 +183,18 @@ def sequent_witness(X: PartialStructure, seq: Sequent) -> Optional[dict]:
 # Only subtrees holding no witness are skipped, so the first witness found is
 # the interpreter's.  Carrier labels are never None, the value that stands for
 # "undefined" in a table lookup.
+#
+# Open cells only change the conclusion.  The premise reads them as absent,
+# so it holds only where it holds in every completion.  A conclusion lookup
+# of an open cell, or one taking an UNDECIDED argument, yields UNDECIDED, and
+# an atom with an UNDECIDED side or an open relation tuple passes: the chain
+# fails only on an atom that fails in every completion.  Without open cells
+# UNDECIDED never arises and the chain is the exact conclusion test.
 
-_NO_TABLE = MappingProxyType({})
 
-
-def _compile_sequent(seq: Sequent) -> Callable[[PartialStructure], Optional[dict]]:
+def _compile_sequent(seq: Sequent) -> Callable[..., Optional[dict]]:
     """Build the checker of a sequent and keep it on the sequent."""
-    namespace = {"NO_TABLE": _NO_TABLE}
+    namespace = {"EMPTY": _EMPTY, "UNDECIDED": UNDECIDED}
     exec(compile(_checker_source(seq), "<phl sequent checker>", "exec"), namespace)
     check = namespace["check"]
     object.__setattr__(seq, "_checker", check)
@@ -193,7 +208,7 @@ def _tuple_src(parts: list) -> str:
 def _checker_source(seq: Sequent) -> str:
     ctx = seq.context
     depth = {v: i + 1 for i, (v, _) in enumerate(ctx)}  # a repeated name binds last
-    head = ["def check(X):", "    fns = X.functions", "    rels = X.relations",
+    head = ["def check(X, open=EMPTY):", "    fns = X.functions", "    rels = X.relations",
             "    car = X.carriers"]
     symbols = {}
 
@@ -201,8 +216,8 @@ def _checker_source(seq: Sequent) -> str:
         if (kind, name) not in symbols:
             local = f"{kind}{len(symbols)}"
             symbols[kind, name] = local
-            source = {"F": f"fns.get({name!r}, NO_TABLE)", "R": f"rels.get({name!r}, ())",
-                      "C": f"car.get({name!r}, ())"}[kind]
+            source = {"F": f"fns.get({name!r}, EMPTY)", "R": f"rels.get({name!r}, ())",
+                      "C": f"car.get({name!r}, ())", "O": f"open.get({name!r}, ())"}[kind]
             head.append(f"    {local} = {source}")
         return symbols[kind, name]
 
@@ -254,23 +269,32 @@ def _checker_source(seq: Sequent) -> str:
             return bound[t][0]
         if t not in fresh:
             args = [term(a) for a in t.args]
+            key = _tuple_src(args)
             local = f"c{len(fresh)}"
-            lookup = f"{symbol('F', t.func)}.get({_tuple_src(args)})"
-            holds.append(f"({local} := {lookup}) is not None")
+            unknown = " or ".join(undecided(args) + [f"{key} in {symbol('O', t.func)}"])
+            holds.append(f"(({local} := {symbol('F', t.func)}.get({key})) is not None"
+                         f" or ({unknown}) and ({local} := UNDECIDED) is UNDECIDED)")
             fresh[t] = local
         return fresh[t]
+
+    def undecided(locals_: list) -> list:
+        # only conclusion lookups can be UNDECIDED
+        return [f"{a} is UNDECIDED" for a in locals_ if a in fresh.values()]
 
     for atom in and_parts(seq.conclusion):
         if isinstance(atom, RelAtom):
             args = [term(a) for a in atom.args]
-            holds.append(f"{_tuple_src(args)} in {symbol('R', atom.rel)}")
+            key = _tuple_src(args)
+            passes = ([f"{key} in {symbol('R', atom.rel)}"] + undecided(args)
+                      + [f"{key} in {symbol('O', atom.rel)}"])
+            holds.append(f"({' or '.join(passes)})")
         elif atom.lhs == atom.rhs:
             term(atom.lhs)
         else:
             l, r = term(atom.lhs), term(atom.rhs)
-            holds.append(f"{l} == {r}")
+            holds.append(f"({' or '.join([f'{l} == {r}'] + undecided([l, r]))})")
     if not holds:  # the conclusion holds wherever the premise does
-        return "def check(X):\n    return None\n"
+        return "def check(X, open=EMPTY):\n    return None\n"
 
     body = []
     for d in range(len(ctx) + 1):

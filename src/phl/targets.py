@@ -9,6 +9,8 @@ and the value it must produce.  Provenance vocabulary:
     force, hand enumeration) and frozen here.
   * "definitional": forced by a convention, e.g. the empty product being
     the terminal model.
+  * "published": the value is a term, or a sum of terms, of a published
+    integer sequence (OEIS), so it shares nothing with this code.
 
 Bounds matter: counts are counts among models whose carriers stay under
 the stated size, and every bound note says why that window suffices.
@@ -247,15 +249,12 @@ def _run_closure_hloc_two_point(ctx):
     return {"count": len(out.indices), "has-empty": 0 in out.indices}
 
 
-def _run_universe_counts(ctx):
-    plan = (
-        ("set", 3), ("pos", 2), ("pos", 3), ("pos", 4), ("urel", 1),
-        ("urel", 2), ("per", 2), ("preord", 2), ("erel", 2), ("idem", 2),
-        ("arrow", 1), ("remark-locret-2", 2),
-    )
-    return {f"{name} k={k}": len(enumerate_models(get_theory(name), k,
-                                                  ctx.cache_dir).members)
-            for name, k in plan}
+def _universe_counts(*plan):
+    def run(ctx):
+        return {f"{name} k={k}": len(enumerate_models(get_theory(name), k,
+                                                      ctx.cache_dir).members)
+                for name, k in plan}
+    return run
 
 
 def _fam(base_builder, m):
@@ -497,7 +496,22 @@ TARGETS = [
             "urel k=1": 3, "urel k=2": 6, "per k=2": 7, "preord k=2": 5,
             "erel k=2": 4, "idem k=2": 4, "arrow k=1": 3,
             "remark-locret-2 k=2": 10,
-        }, _run_universe_counts),
+        }, _universe_counts(
+            ("set", 3), ("pos", 2), ("pos", 3), ("pos", 4), ("urel", 1),
+            ("urel", 2), ("per", 2), ("preord", 2), ("erel", 2), ("idem", 2),
+            ("arrow", 1), ("remark-locret-2", 2))),
+    ReproductionTarget(
+        "published-counts", ("enumeration",),
+        "models up to isomorphism with every carrier at most k, so each "
+        "value sums a sequence over sizes 0..k: posets OEIS A000112, "
+        "preorders A001930, simple graphs (erel) A000088, groups A000001 "
+        "(no empty group, orders 1..3)",
+        "published", {
+            "pos k=4": 25, "preord k=3": 14, "preord k=4": 47,
+            "erel k=3": 8, "erel k=4": 19, "group k=3": 3,
+        }, _universe_counts(
+            ("pos", 4), ("preord", 3), ("preord", 4), ("erel", 3), ("erel", 4),
+            ("group", 3))),
     ReproductionTarget(
         "fam-single-vertex", ("fam",),
         "families of at most 2 copies of one object", "derived",

@@ -29,6 +29,7 @@ from phl.structures import (
     is_isomorphic,
     structure_size,
 )
+from phl.syntax import BudgetError
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +110,22 @@ def perm_isomorphic(X, Y):
     return False
 
 
+def profile(X):
+    """Sizes that isomorphic structures share: carriers, tables, relations."""
+    sig = X.theory.signature
+    return (
+        tuple(len(X.carrier(s)) for s in sig.sorts),
+        tuple(len(X.functions.get(f, {})) for f in sig.functions),
+        tuple(len(X.relations.get(r, set())) for r in sig.relations),
+    )
+
+
 def naive_iso_classes(labeled):
+    """The first labelled model of each isomorphism class, in the order
+    naive_labeled_models walks them."""
     buckets = {}
     for X in labeled:
-        sig = X.theory.signature
-        key = (
-            tuple(len(X.carrier(s)) for s in sig.sorts),
-            tuple(len(X.functions.get(f, {})) for f in sig.functions),
-            tuple(len(X.relations.get(r, set())) for r in sig.relations),
-        )
-        buckets.setdefault(key, []).append(X)
+        buckets.setdefault(profile(X), []).append(X)
     reps = []
     for group in buckets.values():
         kept = []
@@ -141,8 +148,13 @@ def naive_models_at_two(name):
 
 
 def test_enumeration_agrees_with_naive_oracle_everywhere():
-    """Criterion: the staged enumerator and the oracle agree at bound 2 on
-    the whole corpus."""
+    """Criterion: the enumerator and the oracle agree at bound 2 on the whole
+    corpus, and both keep the same representative of every class.
+
+    Both walk labelled structures in the same lexicographic order (carrier
+    sizes, then function tables, then relations, each table in argument
+    order), so each member must equal, table for table, the first labelled
+    model of its class that the oracle meets."""
     for name in theory_names():
         th = get_theory(name)
         expected = naive_models_at_two(name)
@@ -152,6 +164,23 @@ def test_enumeration_agrees_with_naive_oracle_everywhere():
         for i, X in enumerate(U.members):
             for Y in U.members[i + 1:]:
                 assert not perm_isomorphic(X, Y), name
+        reps = {}
+        for R in expected:
+            reps.setdefault(profile(R), []).append(R)
+        for X in U.members:
+            (R,) = [R for R in reps.get(profile(X), []) if perm_isomorphic(X, R)]
+            assert (X.carriers, X.functions, X.relations) == \
+                (R.carriers, R.functions, R.relations), (name, X.name)
+
+
+def test_enumeration_budget_error_says_where_it_stopped():
+    with pytest.raises(BudgetError) as err:
+        enumerate_models(get_theory("pos"), 3, visit_budget=10)
+    message = str(err.value)
+    assert message.startswith("model enumeration of 'pos' at k=3")
+    assert "stopped after 10 search nodes" in message
+    assert "carrier sizes el:2" in message
+    assert message.endswith("assigning the cell leq(1, 1)")
 
 
 def test_pos_universe_at_bound_two_is_the_expected_quadruple():

@@ -2,7 +2,8 @@
 
 `sequent_witness` runs a checker generated once per sequent;
 `interpreted_witness` walks the AST.  They must return the same witness, as
-the same dict with its keys in context order, or both None.
+the same dict with its keys in context order, or both None.  With open cells
+a witness must be one that every completion of those cells confirms.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import pytest
 from phl.closure import enumerate_models
 from phl.corpus import get_morphism, get_theory, morphism_names, theory_names
 from phl.parser import parse_sequents, parse_theory
-from phl.structures import PartialStructure, interpreted_witness, sequent_witness
+from phl.structures import PartialStructure, interpreted_witness, satisfies, sequent_witness
 from phl.syntax import (Eq, RelAtom, Sequent, TOP, ValidationError, Var, morphism_obligations,
                         print_sequent)
 
@@ -68,6 +69,66 @@ def test_random_structures(name):
         for seq in theory.axioms:
             witnesses += assert_same(X, seq) is not None
     # random tables must reach the witness path, not only the None one
+    assert witnesses or not theory.axioms
+
+
+def open_some_cells(rng, X, most=6):
+    """Take up to `most` random cells out of X's tables; return them as
+    (symbol, args) pairs."""
+    sig = X.theory.signature
+    cells = [(f, args) for f, (argsorts, _) in sig.functions.items()
+             for args in itertools.product(*(X.carrier(s) for s in argsorts))]
+    cells += [(r, args) for r, argsorts in sig.relations.items()
+              for args in itertools.product(*(X.carrier(s) for s in argsorts))]
+    chosen = rng.sample(cells, rng.randint(0, min(most, len(cells))))
+    for name, args in chosen:
+        if name in X.functions:
+            X.functions[name].pop(args, None)
+        else:
+            X.relations[name].discard(args)
+    return chosen
+
+
+def completions(X, cells):
+    """Every structure that decides the open cells of X."""
+    sig = X.theory.signature
+    choices = [(None,) + X.carrier(sig.functions[name][1]) if name in sig.functions
+               else (False, True) for name, _ in cells]
+    for values in itertools.product(*choices):
+        fns = {f: dict(t) for f, t in X.functions.items()}
+        rels = {r: set(t) for r, t in X.relations.items()}
+        for (name, args), value in zip(cells, values):
+            if name in fns and value is not None:
+                fns[name][args] = value
+            elif value is True:
+                rels[name].add(args)
+        yield PartialStructure(X.theory, X.carriers, fns, rels)
+
+
+def assert_forced(X, seq, cells):
+    """The open-cell witness, after checking that every completion of the
+    cells satisfies the premise and violates the conclusion there."""
+    opened = {}
+    for name, args in cells:
+        opened.setdefault(name, set()).add(args)
+    env = sequent_witness(X, seq, opened)
+    if env is not None:
+        for Y in completions(X, cells):
+            assert satisfies(Y, env, seq.premise), (print_sequent(seq), X, cells, env)
+            assert not satisfies(Y, env, seq.conclusion), (print_sequent(seq), X, cells, env)
+    return env
+
+
+@pytest.mark.parametrize("name", theory_names())
+def test_open_cells_witness_only_forced_violations(name):
+    theory = get_theory(name)
+    rng = random.Random(f"open-{name}")
+    witnesses = 0
+    for _ in range(100):
+        X = random_structure(rng, theory, max_size=2)
+        cells = open_some_cells(rng, X)
+        for seq in theory.axioms:
+            witnesses += assert_forced(X, seq, cells) is not None
     assert witnesses or not theory.axioms
 
 
@@ -191,3 +252,31 @@ def test_unbound_variable_is_rejected():
     seq = Sequent((("x", "a"),), TOP, Eq(Var("y"), Var("x")))
     with pytest.raises(ValidationError, match="unbound variable 'y'"):
         sequent_witness(edge_structure(("u",)), seq)
+
+
+GROUP = get_theory("group")
+ASSOC = next(seq for seq in GROUP.axioms if "mul(mul(" in print_sequent(seq))
+
+
+def test_open_cell_nested_in_another_lookup_is_undecided():
+    # the two-element group with mul(0, 0) open: inside mul(mul(0, 0), z)
+    # the open cell makes the outer lookup undecided, not undefined
+    mul = {("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}
+    X = PartialStructure(GROUP, {"el": ("0", "1")},
+                         {"mul": mul, "e": {(): "0"}, "inv": {}}, {})
+    assert sequent_witness(X, ASSOC) == interpreted_witness(X, ASSOC) == \
+        {"x": "0", "y": "0", "z": "0"}
+    assert assert_forced(X, ASSOC, [("mul", ("0", "0"))]) is None
+    # a violation that no value of the open cell repairs is still found:
+    # mul(mul(1, 0), 1) = 0 but mul(1, mul(0, 1)) = 1
+    mul[("0", "1")] = "0"
+    assert assert_forced(X, ASSOC, [("mul", ("0", "0"))]) == {"x": "1", "y": "0", "z": "1"}
+
+
+def test_relation_conclusion_with_an_open_tuple_passes():
+    pos = get_theory("pos")
+    refl = pos.axioms[0]  # [x : el] top |- leq(x, x)
+    X = PartialStructure(pos, {"el": ("0", "1")}, {}, {"leq": {("0", "0")}})
+    assert sequent_witness(X, refl) == {"x": "1"}
+    assert assert_forced(X, refl, [("leq", ("1", "1"))]) is None
+    assert assert_forced(X, refl, [("leq", ("0", "1"))]) == {"x": "1"}
