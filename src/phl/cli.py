@@ -168,6 +168,10 @@ def _cmd_acc(args) -> int:
 
 
 def _cmd_repro(args) -> int:
+    if args.all and (args.names or args.tag):
+        print("--all runs every target; it cannot be combined with target "
+              "names or --tag", file=sys.stderr)
+        return 2
     targets = TARGETS
     if args.tag:
         targets = targets_with_tag(args.tag)
@@ -269,7 +273,7 @@ def main(argv=None) -> int:
     p.add_argument("names", nargs="*", metavar="NAME")
     p.add_argument("--all", action="store_true",
                    help="run every registered target (the default when no "
-                        "names are given)")
+                        "names are given); refused with names or --tag")
     p.add_argument("--list", action="store_true")
     p.add_argument("--tag", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -21,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .homsearch import enumerate_homs, iter_homs, local_retraction_check
+from .homsearch import enumerate_homs, iter_homs, passes_probes
 from .structures import (
     PartialStructure,
     canonical_key,
@@ -49,22 +50,68 @@ from .syntax import (
 
 @dataclass
 class ModelUniverse:
+    """The members with their canonical keys, and one memo for every relation
+    between members that the closure operators ask about.  Members are
+    named after their position on construction."""
     theory: Theory
     k: int
     members: list
     keys: list
-    index: dict = field(default_factory=dict)
-    _hom_lists: dict = field(default_factory=dict, repr=False)
-    _closed_sub: dict = field(default_factory=dict, repr=False)
-    _locret: dict = field(default_factory=dict, repr=False)
+    index: dict = field(init=False, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        for pos, X in enumerate(self.members):
+            X.name = f"{self.theory.name}#{pos}"
+        self.index = {key: pos for pos, key in enumerate(self.keys)}
 
     def __len__(self):
         return len(self.members)
 
+    def _remember(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def homs(self, i: int, j: int) -> list:
-        if (i, j) not in self._hom_lists:
-            self._hom_lists[(i, j)] = enumerate_homs(self.members[i], self.members[j])
-        return self._hom_lists[(i, j)]
+        return self._remember(("homs", i, j), lambda: enumerate_homs(
+            self.members[i], self.members[j]))
+
+    def closed_sub(self, i: int, j: int) -> bool:
+        """Does member i embed into member j as a closed substructure?"""
+        return self._remember(("closed-sub", i, j), lambda: any(
+            is_closed_mono(h)
+            for h in iter_homs(self.members[i], self.members[j], injective=True)))
+
+    def locret(self, i: int, j: int, rho: Optional[TheoryMorphism] = None) -> bool:
+        """Does some homomorphism member i -> member j pass the local
+        retraction probes?  Probes are the whole universe (its reducts, when a
+        theory morphism is supplied)."""
+        if rho is None:
+            return self._remember(("locret", i, j, None), lambda: any(
+                passes_probes(p, self.members) for p in self.homs(i, j)))
+        probes = self._remember(("reducts", rho.name),
+                                lambda: [reduct(rho, X) for X in self.members])
+        return self._remember(("locret", i, j, rho.name), lambda: any(
+            passes_probes(reduct_hom(rho, p), probes) for p in self.homs(i, j)))
+
+    def product_index(self, combo: tuple) -> Optional[int]:
+        """The member index of the product of the members in `combo`, a
+        sorted tuple, or None when the product exceeds the bound.  () gives
+        the terminal model, which every universe must contain."""
+        return self._remember(("product", combo), lambda: self._product_index(combo))
+
+    def _product_index(self, combo: tuple) -> Optional[int]:
+        factors = [self.members[i] for i in combo]
+        if combo and any(math.prod(len(F.carrier(s)) for F in factors) > self.k
+                         for s in self.theory.signature.sorts):
+            return None
+        idx = self.index.get(canonical_key(product(self.theory, factors)))
+        if idx is None:
+            named = " x ".join(F.name for F in factors) or "the terminal model"
+            raise ValueError(f"the bounded product {named} is missing from the "
+                             f"universe of '{self.theory.name}' at k={self.k}")
+        return idx
 
 
 def theory_hash(theory: Theory) -> str:
@@ -172,16 +219,7 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
         assign(X, cells, 0)
 
     order.sort(key=lambda key: (structure_size(found[key]), key))
-    members = []
-    keys = []
-    index = {}
-    for pos, key in enumerate(order):
-        X = found[key]
-        X.name = f"{theory.name}#{pos}"
-        members.append(X)
-        keys.append(key)
-        index[key] = pos
-    U = ModelUniverse(theory, k, members, keys, index)
+    U = ModelUniverse(theory, k, [found[key] for key in order], order)
     if cache_dir is not None:
         save_universe(U, cache_dir)
     return U
@@ -239,16 +277,9 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
     if head.get("members") != len(lines) - 1:
         return _damaged_cache(path, f"the header counts {head.get('members')} members "
                                     f"but {len(lines) - 1} rows follow")
-    members = []
-    keys = []
-    index = {}
-    for row in lines[1:]:
-        X = structure_from_json(row["structure"], theory)
-        X.name = f"{theory.name}#{len(members)}"
-        index[row["key"]] = len(members)
-        members.append(X)
-        keys.append(row["key"])
-    return ModelUniverse(theory, k, members, keys, index)
+    rows = lines[1:]
+    return ModelUniverse(theory, k, [structure_from_json(row["structure"], theory)
+                                     for row in rows], [row["key"] for row in rows])
 
 
 def _damaged_cache(path: str, reason: str) -> None:
@@ -294,112 +325,55 @@ def definable_class(universe: ModelUniverse, sequents: list) -> ModelClass:
 # closure operators
 
 
-def closure_P(mc: ModelClass, arity_cap: int = 4) -> ModelClass:
+PRODUCT_ARITY_CAP = 4
+
+
+def closure_P(mc: ModelClass) -> ModelClass:
     """Close under finite products that stay inside the universe bound.
 
-    Products are formed directly at every arity up to the cap, because in a
-    multi-sorted universe the factors of a bounded n-ary product need not
-    have bounded intermediate products.  The empty product is the terminal
-    model and is always added.
+    Products are formed directly at every arity up to PRODUCT_ARITY_CAP,
+    because in a multi-sorted universe the factors of a bounded n-ary
+    product need not have bounded intermediate products.  The empty product
+    is the terminal model and is always added.
     """
     U = mc.universe
     S = set(mc.indices)
-    terminal = product(U.theory, [])
-    t_key = canonical_key(terminal)
-    if t_key not in U.index:
-        raise AssertionError("terminal structure missing from the universe")
-    S.add(U.index[t_key])
+    S.add(U.product_index(()))
     changed = True
     while changed:
         changed = False
         base = sorted(S)
-        for r in range(2, arity_cap + 1):
+        for r in range(2, PRODUCT_ARITY_CAP + 1):
             for combo in itertools.combinations_with_replacement(base, r):
-                factors = [U.members[i] for i in combo]
-                if any(
-                    _size_product(factors, s) > U.k
-                    for s in U.theory.signature.sorts
-                ):
-                    continue
-                P = product(U.theory, factors)
-                key = canonical_key(P)
-                idx = U.index.get(key)
-                assert idx is not None, "bounded product of models must be a model"
-                if idx not in S:
+                idx = U.product_index(combo)
+                if idx is not None and idx not in S:
                     S.add(idx)
                     changed = True
     return mc.with_indices(S)
 
 
-def _size_product(factors: list, sort: str) -> int:
-    n = 1
-    for F in factors:
-        n *= len(F.carrier(sort))
-    return n
-
-
-def closed_sub_edge(U: ModelUniverse, i: int, j: int) -> bool:
-    """Does member i embed into member j as a closed substructure?"""
-    if (i, j) not in U._closed_sub:
-        found = False
-        for h in iter_homs(U.members[i], U.members[j], injective=True):
-            if is_closed_mono(h):
-                found = True
-                break
-        U._closed_sub[(i, j)] = found
-    return U._closed_sub[(i, j)]
-
-
-def closure_Sc(mc: ModelClass) -> ModelClass:
-    U = mc.universe
+def _grow(mc: ModelClass, edge) -> ModelClass:
+    """Add each non-member c with edge(c, m) for some member m, in index
+    order and against the members known at that moment, until a pass adds
+    nothing."""
     S = set(mc.indices)
     changed = True
     while changed:
         changed = False
-        for i in range(len(U.members)):
-            if i in S:
-                continue
-            if any(closed_sub_edge(U, i, j) for j in sorted(S)):
-                S.add(i)
+        for c in range(len(mc.universe.members)):
+            if c not in S and any(edge(c, m) for m in sorted(S)):
+                S.add(c)
                 changed = True
     return mc.with_indices(S)
 
 
-def locret_edge(U: ModelUniverse, i: int, j: int,
-                rho: Optional[TheoryMorphism] = None) -> bool:
-    """Does some homomorphism member i -> member j pass the local
-    retraction probes?  Probes are the whole universe (its reducts, when a
-    theory morphism is supplied)."""
-    cache_key = (i, j, rho.name if rho is not None else None)
-    if cache_key not in U._locret:
-        if rho is None:
-            probes = U.members
-        else:
-            probes = [reduct(rho, X) for X in U.members]
-        found = None
-        for p in U.homs(i, j):
-            q = p if rho is None else reduct_hom(rho, p)
-            report = local_retraction_check(q, probes)
-            if report.verdict == "passed-up-to-probes":
-                found = p
-                break
-        U._locret[cache_key] = found is not None
-    return U._locret[cache_key]
+def closure_Sc(mc: ModelClass) -> ModelClass:
+    return _grow(mc, mc.universe.closed_sub)
 
 
 def closure_Hloc(mc: ModelClass, rho: Optional[TheoryMorphism] = None) -> ModelClass:
     U = mc.universe
-    S = set(mc.indices)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(U.members)):
-            if j in S:
-                continue
-            if any(locret_edge(U, i, j, rho) for i in sorted(S)):
-                S.add(j)
-                changed = True
-    return mc.with_indices(S)
+    return _grow(mc, lambda c, m: U.locret(m, c, rho))
 
 
 def embeds_in_product(U: ModelUniverse, i: int, targets) -> bool:
@@ -420,31 +394,14 @@ def embeds_in_product(U: ModelUniverse, i: int, targets) -> bool:
         for a, b in itertools.combinations(car, 2):
             if not any(h.maps[s][a] != h.maps[s][b] for h, _ in fams):
                 return False
-    for f, (argsorts, _) in sig.functions.items():
-        table = X.functions[f]
+    symbols = [("functions", f, argsorts) for f, (argsorts, _) in sig.functions.items()]
+    symbols += [("relations", r, argsorts) for r, argsorts in sig.relations.items()]
+    for kind, name, argsorts in symbols:
+        held = getattr(X, kind)[name]
         for args in itertools.product(*(X.carrier(s) for s in argsorts)):
-            if args in table:
-                continue
-            hit = False
-            for h, A in fams:
-                image = tuple(h.maps[s][a] for s, a in zip(argsorts, args))
-                if image not in A.functions[f]:
-                    hit = True
-                    break
-            if not hit:
-                return False
-    for r, argsorts in sig.relations.items():
-        held = X.relations[r]
-        for args in itertools.product(*(X.carrier(s) for s in argsorts)):
-            if args in held:
-                continue
-            hit = False
-            for h, A in fams:
-                image = tuple(h.maps[s][a] for s, a in zip(argsorts, args))
-                if image not in A.relations[r]:
-                    hit = True
-                    break
-            if not hit:
+            if args not in held and not any(
+                    tuple(h.maps[s][a] for s, a in zip(argsorts, args))
+                    not in getattr(A, kind)[name] for h, A in fams):
                 return False
     return True
 
@@ -469,19 +426,7 @@ def product_embedding_closure(mc: ModelClass) -> ModelClass:
 def surjective_image_closure(mc: ModelClass) -> ModelClass:
     """Plain surjective images, for contrast with local retractions."""
     U = mc.universe
-    S = set(mc.indices)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(U.members)):
-            if j in S:
-                continue
-            for i in sorted(S):
-                if any(is_surjective(p) for p in U.homs(i, j)):
-                    S.add(j)
-                    changed = True
-                    break
-    return mc.with_indices(S)
+    return _grow(mc, lambda c, m: any(is_surjective(p) for p in U.homs(m, c)))
 
 
 @dataclass
@@ -528,10 +473,14 @@ class LawReport:
         return sum(len(v) for _, _, v in self.rows)
 
 
-def operator_law_report(U: ModelUniverse, seed: int, samples: int = 10) -> LawReport:
+LAW_SAMPLES = 10
+
+
+def operator_law_report(U: ModelUniverse, seed: int) -> LawReport:
     """Check the algebra of the three operators on sampled classes.
 
-    The sampled family is every singleton class plus a seeded random batch.
+    The sampled family is every singleton class plus LAW_SAMPLES seeded
+    random classes.
     Verified per class: each operator is extensive, monotone, and
     idempotent; the swap laws P after Sc within Sc after P (with the joint
     product_embedding_closure on the right, which is how closed subs of
@@ -566,7 +515,7 @@ def operator_law_report(U: ModelUniverse, seed: int, samples: int = 10) -> LawRe
             rows[law][1].append(detail)
 
     classes = [frozenset([i]) for i in range(n)]
-    for _ in range(samples):
+    for _ in range(LAW_SAMPLES):
         mask = rng.getrandbits(n)
         classes.append(frozenset(i for i in range(n) if mask >> i & 1))
     for ci, idx in enumerate(classes):
@@ -594,9 +543,8 @@ def operator_law_report(U: ModelUniverse, seed: int, samples: int = 10) -> LawRe
         note("hsp idempotent",
              first.fixpoint and second.model_class.indices == first.model_class.indices, ci)
     empty = ModelClass(U, frozenset())
-    terminal_idx = U.index[canonical_key(product(U.theory, []))]
     note("P(empty) = {terminal}",
-         closure_P(empty).indices == frozenset([terminal_idx]), "empty")
+         closure_P(empty).indices == frozenset([U.product_index(())]), "empty")
     return LawReport(U.theory.name, U.k, seed,
                      [(law, c, v) for law, (c, v) in rows.items()])
 

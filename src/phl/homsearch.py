@@ -165,14 +165,16 @@ def hom_exists(X: PartialStructure, Y: PartialStructure) -> bool:
     return find_hom(X, Y) is not None
 
 
+def _fibers(p: Homomorphism) -> dict:
+    """(sort, target element) -> the source elements p sends there."""
+    X, Y = p.source, p.target
+    return {(s, b): tuple(a for a in X.carrier(s) if p.maps[s][a] == b)
+            for s in X.theory.signature.sorts for b in Y.carrier(s)}
+
+
 def find_section(p: Homomorphism) -> Optional[Homomorphism]:
     """Section of p: a homomorphism s with p . s = id on p's target."""
-    X, Y = p.source, p.target
-    fibers = {}
-    for s in X.theory.signature.sorts:
-        for b in Y.carrier(s):
-            fibers[(s, b)] = tuple(a for a in X.carrier(s) if p.maps[s][a] == b)
-    return find_hom(Y, X, restrict=fibers)
+    return find_hom(p.target, p.source, restrict=_fibers(p))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +233,7 @@ def local_retraction_check(p: Homomorphism, probes: list) -> LocalRetractionRepo
     when the theory declares a rule.
     """
     X, Y = p.source, p.target
-    fibers = {}
-    for s in X.theory.signature.sorts:
-        for b in Y.carrier(s):
-            fibers[(s, b)] = tuple(a for a in X.carrier(s) if p.maps[s][a] == b)
+    fibers = _fibers(p)
     maps_checked = 0
     witness = None
     for G in probes:
@@ -256,3 +255,7 @@ def local_retraction_check(p: Homomorphism, probes: list) -> LocalRetractionRepo
                                      None, None, exact, rule)
     return LocalRetractionReport("failed", len(probes), maps_checked,
                                  witness[0], witness[1], exact, rule)
+
+
+def passes_probes(p: Homomorphism, probes: list) -> bool:
+    return local_retraction_check(p, probes).verdict == "passed-up-to-probes"

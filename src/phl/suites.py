@@ -30,7 +30,7 @@ from .corpus import get_theory
 from .homsearch import (
     find_hom,
     find_section,
-    local_retraction_check,
+    passes_probes,
 )
 from .parser import parse_sequents
 from .sigma import (
@@ -104,10 +104,6 @@ def _probe_family(rng, U, count=3):
     return [U.members[i] for i in picks]
 
 
-def _passes(p, probes) -> bool:
-    return local_retraction_check(p, probes).verdict == "passed-up-to-probes"
-
-
 def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
     rep = SuiteReport("probe-properties", seed)
     rng = random.Random(seed)
@@ -135,7 +131,7 @@ def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
             if find_section(p) is None:
                 continue
             probes = _probe_family(rng, U)
-            rep.check("retraction passes probes", _passes(p, probes),
+            rep.check("retraction passes probes", passes_probes(p, probes),
                       (name, p.name))
         for _ in range(rounds):
             p = rng.choice(pool)
@@ -144,15 +140,15 @@ def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
                 continue
             h = rng.choice(firsts)
             probes = _probe_family(rng, U)
-            if _passes(p, probes) and _passes(h, probes):
+            if passes_probes(p, probes) and passes_probes(h, probes):
                 rep.check("composition passes probes",
-                          _passes(compose(p, h), probes), (name, h.name, p.name))
-            if _passes(compose(p, h), probes):
+                          passes_probes(compose(p, h), probes), (name, h.name, p.name))
+            if passes_probes(compose(p, h), probes):
                 rep.check("right factor passes probes",
-                          _passes(p, probes), (name, h.name, p.name))
+                          passes_probes(p, probes), (name, h.name, p.name))
         for p in _sample(rng, pool, rounds):
             probes = _probe_family(rng, U) + [p.target]
-            if _passes(p, probes):
+            if passes_probes(p, probes):
                 rep.check("codomain probe forces a section",
                           find_section(p) is not None, (name, p.name))
         for _ in range(rounds // 2):
@@ -160,14 +156,14 @@ def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
             others = [q for q in pool if q.target.name == p.target.name]
             q = rng.choice(others)
             probes = _probe_family(rng, U)
-            if _passes(p, probes):
+            if passes_probes(p, probes):
                 _, _, p_back = pullback(p, q)
                 rep.check("pullback passes the same probes",
-                          _passes(p_back, probes), (name, p.name, q.name))
+                          passes_probes(p_back, probes), (name, p.name, q.name))
         if "exact_locret_surjection" in U.theory.flags:
             for p in _sample(rng, pool, rounds * 2):
                 rep.check("plain sets: probe pass iff surjective",
-                          _passes(p, list(U.members)) == is_surjective(p),
+                          passes_probes(p, list(U.members)) == is_surjective(p),
                           (name, p.name))
     return rep
 

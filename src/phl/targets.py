@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .closure import (
+    LAW_SAMPLES,
     ModelClass,
     class_of,
     closure_Hloc,
@@ -144,7 +145,7 @@ def _law_report(theory_name, k):
     def run(ctx):
         U = enumerate_models(get_theory(theory_name), k, ctx.cache_dir)
         rep = operator_law_report(U, seed=ctx.seed)
-        return {"classes": len(U.members) + 10, "violations": rep.violations}
+        return {"classes": len(U.members) + LAW_SAMPLES, "violations": rep.violations}
     return run
 
 

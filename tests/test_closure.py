@@ -261,6 +261,63 @@ def test_closure_p_on_two_chain():
     assert sizes == [1, 2, 4]  # terminal, the chain, its square
 
 
+def test_missing_bounded_product_fails_loudly():
+    """A bounded product whose key is not in the index is a broken universe,
+    reported by name rather than added to the class as None."""
+    U = enumerate_models(get_theory("urel"), 2)
+    by_profile = {(structure_size(X), len(X.relations["mark"])): i
+                  for i, X in enumerate(U.members)}
+    plain_pt, marked_pair = by_profile[(1, 0)], by_profile[(2, 1)]
+    del U.index[U.keys[by_profile[(2, 0)]]]  # their product, a plain pair
+    with pytest.raises(ValueError) as exc:
+        closure_P(ModelClass(U, frozenset([plain_pt, marked_pair])))
+    assert (f"{U.members[plain_pt].name} x {U.members[marked_pair].name}"
+            in str(exc.value))
+
+
+_OPERATORS = (closure_P, closure_Sc, closure_Hloc, surjective_image_closure,
+              product_embedding_closure)
+
+
+def _every_class(U):
+    n = len(U.members)
+    for mask in range(1 << n):
+        yield frozenset(i for i in range(n) if mask >> i & 1)
+
+
+def test_shared_universe_memo_leaks_nothing_between_classes():
+    """Every operator on every class of urel k=2 gives the same result on one
+    universe reused for all classes as on a freshly enumerated one."""
+    theory = get_theory("urel")
+    shared = enumerate_models(theory, 2)
+    assert len(shared.members) == 6
+    for idx in _every_class(shared):
+        fresh = enumerate_models(theory, 2)
+        for op in _OPERATORS:
+            assert (op(ModelClass(shared, idx)).indices
+                    == op(ModelClass(fresh, idx)).indices), (op.__name__, sorted(idx))
+
+
+def test_shared_universe_memo_keeps_rho_apart():
+    """Local retraction closures with and without a theory morphism,
+    alternating on one universe, match fresh universes; the morphism changes
+    the closure of 4 of the 16 classes of pos k=2."""
+    theory = get_theory("pos")
+    rho = get_morphism("pos-underlying")
+    shared = enumerate_models(theory, 2)
+    assert len(shared.members) == 4
+    differ = 0
+    for idx in _every_class(shared):
+        plain = closure_Hloc(ModelClass(shared, idx))
+        along = closure_Hloc(ModelClass(shared, idx), rho)
+        assert plain.indices == closure_Hloc(
+            ModelClass(enumerate_models(theory, 2), idx)).indices
+        assert along.indices == closure_Hloc(
+            ModelClass(enumerate_models(theory, 2), idx), rho).indices
+        differ += plain.indices != along.indices
+    assert differ == 4
+
+
 def test_closure_sc_adds_only_induced_substructures():
     U = enumerate_models(get_theory("pos"), 2)
     chain2 = [i for i, X in enumerate(U.members)

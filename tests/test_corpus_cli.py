@@ -217,6 +217,14 @@ def test_cli_repro_unknown_name(capsys):
     assert code != 0
 
 
+def test_cli_repro_all_refuses_names_and_tags(capsys):
+    for extra in (["sigma-set", "bell-1"], ["--tag", "closure"]):
+        code, out, err = run_cli(capsys, "repro", "--all", *extra)
+        assert code == 2
+        assert out == ""
+        assert "cannot be combined" in err
+
+
 def test_cli_corpus_listing(capsys):
     code, out, _ = run_cli(capsys, "corpus")
     assert code == 0
