@@ -41,6 +41,7 @@ from .syntax import (
     Sequent,
     Theory,
     TheoryMorphism,
+    ValidationError,
     print_theory,
     sequent_symbols,
     translate_sequent,
@@ -256,8 +257,10 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
     """The cached universe, or None on a miss.
 
     A file for another theory or bound is a silent miss.  A damaged file (a
-    line that is not JSON, or fewer or more rows than its header counts) is a
-    miss with a warning on stderr, so enumerate_models rebuilds it."""
+    line that is not JSON, a header that is not an object, fewer or more rows
+    than its header counts, or a row without a string key and a valid
+    structure) is a miss with a warning on stderr, so enumerate_models
+    rebuilds it."""
     path = universe_cache_path(theory, k, cache_dir)
     if not os.path.exists(path):
         return None
@@ -272,14 +275,24 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
     if not lines:
         return _damaged_cache(path, "the file is empty")
     head = lines[0]
+    if not isinstance(head, dict):
+        return _damaged_cache(path, "the header is not a JSON object")
     if head.get("hash") != theory_hash(theory) or head.get("k") != k:
         return None
     if head.get("members") != len(lines) - 1:
         return _damaged_cache(path, f"the header counts {head.get('members')} members "
                                     f"but {len(lines) - 1} rows follow")
-    rows = lines[1:]
-    return ModelUniverse(theory, k, [structure_from_json(row["structure"], theory)
-                                     for row in rows], [row["key"] for row in rows])
+    members, keys = [], []
+    for number, row in enumerate(lines[1:], 1):
+        if not (isinstance(row, dict) and isinstance(row.get("key"), str)
+                and "structure" in row):
+            return _damaged_cache(path, f"row {number} lacks a string key or a structure")
+        try:
+            members.append(structure_from_json(row["structure"], theory))
+        except (ValidationError, AttributeError, TypeError) as exc:
+            return _damaged_cache(path, f"row {number} holds no valid structure ({exc})")
+        keys.append(row["key"])
+    return ModelUniverse(theory, k, members, keys)
 
 
 def _damaged_cache(path: str, reason: str) -> None:
@@ -353,17 +366,17 @@ def closure_P(mc: ModelClass) -> ModelClass:
 
 
 def _grow(mc: ModelClass, edge) -> ModelClass:
-    """Add each non-member c with edge(c, m) for some member m, in index
-    order and against the members known at that moment, until a pass adds
-    nothing."""
+    """Add each non-member c with edge(c, m) for some member m, members added
+    on the way included.  A worklist: each member asks its edge once for
+    every non-member of that moment."""
     S = set(mc.indices)
-    changed = True
-    while changed:
-        changed = False
+    todo = sorted(S)
+    while todo:
+        m = todo.pop()
         for c in range(len(mc.universe.members)):
-            if c not in S and any(edge(c, m) for m in sorted(S)):
+            if c not in S and edge(c, m):
                 S.add(c)
-                changed = True
+                todo.append(c)
     return mc.with_indices(S)
 
 
@@ -482,10 +495,11 @@ def operator_law_report(U: ModelUniverse, seed: int) -> LawReport:
     The sampled family is every singleton class plus LAW_SAMPLES seeded
     random classes.
     Verified per class: each operator is extensive, monotone, and
-    idempotent; the swap laws P after Sc within Sc after P (with the joint
-    product_embedding_closure on the right, which is how closed subs of
-    products are computed here), P after Hloc within Hloc after P, and Sc
-    after Hloc within Hloc after Sc; and idempotence of the hsp composite.
+    idempotent; Sc after P, composed stagewise, within the joint
+    product_embedding_closure (which is how closed subs of products are
+    computed here); the swap laws P after Sc within that joint closure, P
+    after Hloc within Hloc after P, and Sc after Hloc within Hloc after Sc;
+    and idempotence of the hsp composite.
     The empty class gets a pinned row: its product closure is exactly the
     terminal model.
 
@@ -505,7 +519,7 @@ def operator_law_report(U: ModelUniverse, seed: int) -> LawReport:
     rows = {law: [0, []] for law in (
         "extensive", "monotone",
         "P.P = P", "Sc.Sc = Sc", "Hloc.Hloc = Hloc",
-        "P.Sc <= Sc.P", "P.Hloc <= Hloc.P", "Sc.Hloc <= Hloc.Sc",
+        "Sc.P <= joint Sc.P", "P.Sc <= Sc.P", "P.Hloc <= Hloc.P", "Sc.Hloc <= Hloc.Sc",
         "hsp idempotent", "P(empty) = {terminal}",
     )}
 
@@ -530,8 +544,8 @@ def operator_law_report(U: ModelUniverse, seed: int) -> LawReport:
         for opname, op in ops.items():
             note("monotone", op(E).indices <= op(F).indices, (ci, opname))
         joint = product_embedding_closure(E)
-        stagewise = closure_Sc(closure_P(E))
-        assert stagewise.indices <= joint.indices
+        note("Sc.P <= joint Sc.P",
+             closure_Sc(closure_P(E)).indices <= joint.indices, ci)
         note("P.Sc <= Sc.P",
              closure_P(closure_Sc(E)).indices <= joint.indices, ci)
         note("P.Hloc <= Hloc.P",

@@ -56,74 +56,37 @@ class SigmaPoset:
     def __len__(self):
         return len(self.components)
 
-    def rel(self) -> set:
-        return set(self.leq)
 
-
-def _tarjan(edges: list) -> list:
-    """Strongly connected components; vertices visited in index order."""
+def _reach(edges: list) -> list:
+    """Reflexive-transitive closure of a bool matrix (Warshall), rows as int
+    bitsets: bit w of row v is set when w is reachable from v."""
     n = len(edges)
-    index = {}
-    low = {}
-    stack = []
-    onstack = set()
-    out = []
-    counter = itertools.count()
-
-    def strongconnect(v):
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        onstack.add(v)
-        for w in range(n):
-            if not edges[v][w] or w == v:
-                continue
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in onstack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                onstack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            out.append(tuple(sorted(comp)))
-
-    for v in range(n):
-        if v not in index:
-            strongconnect(v)
-    return out
+    rows = [sum(1 << w for w in range(n) if edges[v][w]) | 1 << v for v in range(n)]
+    for k in range(n):
+        for v in range(n):
+            if rows[v] >> k & 1:
+                rows[v] |= rows[k]
+    return rows
 
 
 def condense_sigma(quiver: HomQuiver) -> SigmaPoset:
     """Poset of strongly connected components, ordered by reachability.
 
-    The input edges need not be transitively closed; reachability supplies
-    the missing composites.
+    Components and order both come from one reachability closure, so the
+    input edges need not be transitively closed.  Components are listed by
+    least vertex, each sorted.
     """
-    comps = sorted(_tarjan(quiver.edges), key=lambda c: c[0])
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    m = len(comps)
-    reach = [[False] * m for _ in range(m)]
-    for ci in range(m):
-        reach[ci][ci] = True
-    for v in range(len(quiver.edges)):
-        for w in range(len(quiver.edges)):
-            if quiver.edges[v][w]:
-                reach[comp_of[v]][comp_of[w]] = True
-    for k in range(m):
-        for i in range(m):
-            if reach[i][k]:
-                for j in range(m):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    leq = frozenset((i, j) for i in range(m) for j in range(m) if reach[i][j])
+    reach = _reach(quiver.edges)
+    n = len(reach)
+    comps = []
+    placed = set()
+    for v in range(n):
+        if v not in placed:
+            comp = tuple(w for w in range(v, n) if reach[v] >> w & 1 and reach[w] >> v & 1)
+            placed.update(comp)
+            comps.append(comp)
+    leq = frozenset((a, b) for a, ca in enumerate(comps) for b, cb in enumerate(comps)
+                    if reach[ca[0]] >> cb[0] & 1)
     labels = ["[" + ",".join(str(quiver.labels[v]) for v in comp) + "]" for comp in comps]
     return SigmaPoset(labels, comps, leq)
 
@@ -295,12 +258,7 @@ def acc_probe(chain: ChainRecipe, horizon: int) -> AccResult:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    stages = [chain.structure_at(n) for n in range(horizon + 1)]
-    conn = [[True] * (horizon + 1) for _ in range(horizon + 1)]
-    for m in range(horizon + 1):
-        for n in range(horizon + 1):
-            if m != n:
-                conn[m][n] = hom_exists(stages[m], stages[n])
+    conn = build_hom_quiver([chain.structure_at(n) for n in range(horizon + 1)]).edges
     for N in range(horizon):
         if all(conn[m][n] for m in range(N, horizon + 1) for n in range(N, horizon + 1)):
             return AccResult(True, N, horizon, None)
@@ -414,9 +372,12 @@ def gset_sigma_check(G: FiniteGroup, k: int) -> GsetReport:
             continue
         orbits = [gset_orbit_structure(G, class_reps[i], tag=i) for i in chosen]
         X, _ = disjoint_union(theory, orbits, name="+".join(str(i) for i in chosen))
-        assert is_model(X), "orbit sums must satisfy the action axioms"
+        label = "{" + ",".join(class_poset.labels[i] for i in chosen) + "}"
+        if not is_model(X):
+            raise ValueError(f"the sum of the orbit set {label} of {G.name} "
+                             "violates the action axioms")
         reps.append(X)
-        labels.append("{" + ",".join(class_poset.labels[i] for i in chosen) + "}")
+        labels.append(label)
     model_poset = sigma_of_structures(reps, labels)
     lattice = lower_set_lattice(class_poset)
     # a lower set is realizable when one orbit per generator fits in the bound

@@ -344,9 +344,6 @@ class Homomorphism:
     maps: dict  # sort -> {label: label}
     name: str = ""
 
-    def apply(self, sort, label):
-        return self.maps[sort][label]
-
 
 def identity_hom(X: PartialStructure) -> Homomorphism:
     return Homomorphism(X, X, {s: {a: a for a in X.carrier(s)}

@@ -16,12 +16,10 @@ A report counts every individual check as one instance; the acceptance
 gate requires zero failures and a minimum instance count.
 """
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
 from .closure import (
-    ModelClass,
     definable_class,
     enumerate_models,
     hsp_closure,
@@ -37,11 +35,9 @@ from .sigma import (
     build_hom_quiver,
     condense_sigma,
     lower_set_lattice,
-    maximal_elements,
     poset_iso,
     poset_product,
     quiver_tensor,
-    sub_poset,
 )
 from .structures import (
     compose,
@@ -82,6 +78,7 @@ _PROBE_PLAN = (
     ("idem", 2),
     ("arrow", 1),
 )
+PROBE_ROUNDS = 8  # seeded draws per property and universe
 
 
 def _hom_pool(U):
@@ -104,7 +101,7 @@ def _probe_family(rng, U, count=3):
     return [U.members[i] for i in picks]
 
 
-def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
+def probe_property_suite(seed: int = 20250814) -> SuiteReport:
     rep = SuiteReport("probe-properties", seed)
     rng = random.Random(seed)
     for name, k in _PROBE_PLAN:
@@ -113,10 +110,10 @@ def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
         surjections = [p for p in pool if is_surjective(p)]
         for X in U.members:
             rep.check("hom-exists reflexive", find_hom(X, X) is not None, (name, X.name))
-        for h in _sample(rng, pool, rounds):
+        for h in _sample(rng, pool, PROBE_ROUNDS):
             rep.check("returned maps are homomorphisms",
                       hom_violation(h) is None, (name, h.name))
-        for _ in range(rounds):
+        for _ in range(PROBE_ROUNDS):
             g = rng.choice(pool)
             nexts = [h for h in pool if h.source.name == g.target.name]
             if not nexts:
@@ -127,13 +124,13 @@ def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
                       hom_violation(hg) is None
                       and find_hom(g.source, h.target) is not None,
                       (name, g.name, h.name))
-        for p in _sample(rng, surjections, rounds):
+        for p in _sample(rng, surjections, PROBE_ROUNDS):
             if find_section(p) is None:
                 continue
             probes = _probe_family(rng, U)
             rep.check("retraction passes probes", passes_probes(p, probes),
                       (name, p.name))
-        for _ in range(rounds):
+        for _ in range(PROBE_ROUNDS):
             p = rng.choice(pool)
             firsts = [h for h in pool if h.target.name == p.source.name]
             if not firsts:
@@ -146,12 +143,12 @@ def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
             if passes_probes(compose(p, h), probes):
                 rep.check("right factor passes probes",
                           passes_probes(p, probes), (name, h.name, p.name))
-        for p in _sample(rng, pool, rounds):
+        for p in _sample(rng, pool, PROBE_ROUNDS):
             probes = _probe_family(rng, U) + [p.target]
             if passes_probes(p, probes):
                 rep.check("codomain probe forces a section",
                           find_section(p) is not None, (name, p.name))
-        for _ in range(rounds // 2):
+        for _ in range(PROBE_ROUNDS // 2):
             p = rng.choice(pool)
             others = [q for q in pool if q.target.name == p.target.name]
             q = rng.choice(others)
@@ -161,7 +158,7 @@ def probe_property_suite(seed: int = 20250814, rounds: int = 8) -> SuiteReport:
                 rep.check("pullback passes the same probes",
                           passes_probes(p_back, probes), (name, p.name, q.name))
         if "exact_locret_surjection" in U.theory.flags:
-            for p in _sample(rng, pool, rounds * 2):
+            for p in _sample(rng, pool, PROBE_ROUNDS * 2):
                 rep.check("plain sets: probe pass iff surjective",
                           passes_probes(p, list(U.members)) == is_surjective(p),
                           (name, p.name))
@@ -201,20 +198,10 @@ _SIGMA_PLAN = (
     ("pos", 2),
     ("arrow", 1),
 )
+SIGMA_ROUNDS = 6  # sub-families per universe, quiver pairs, random relations
 
 
-def _random_preorder(rng, n):
-    """Random reflexive transitively-closed bool matrix, as quiver edges."""
-    edges = [[i == j or rng.random() < 0.35 for j in range(n)] for i in range(n)]
-    for m in range(n):
-        for i in range(n):
-            for j in range(n):
-                if edges[i][m] and edges[m][j]:
-                    edges[i][j] = True
-    return edges
-
-
-def sigma_invariant_suite(seed: int = 20250814, rounds: int = 6) -> SuiteReport:
+def sigma_invariant_suite(seed: int = 20250814) -> SuiteReport:
     rep = SuiteReport("sigma-invariants", seed)
     rng = random.Random(seed)
     quivers = {}
@@ -228,7 +215,7 @@ def sigma_invariant_suite(seed: int = 20250814, rounds: int = 6) -> SuiteReport:
                 want = find_hom(U.members[ca[0]], U.members[cb[0]]) is not None
                 rep.check("component order is hom existence",
                           ((a, b) in P.leq) == want, (name, a, b))
-        for _ in range(rounds):
+        for _ in range(SIGMA_ROUNDS):
             keep = sorted(rng.sample(range(len(U.members)),
                                      rng.randrange(1, len(U.members) + 1)))
             S = condense_sigma(build_hom_quiver([U.members[i] for i in keep]))
@@ -246,7 +233,7 @@ def sigma_invariant_suite(seed: int = 20250814, rounds: int = 6) -> SuiteReport:
             rep.check("full sub-family embeds in the component poset",
                       inj and order_match, (name, keep))
     names = [n for n, _ in _SIGMA_PLAN]
-    for _ in range(rounds):
+    for _ in range(SIGMA_ROUNDS):
         qa = quivers[rng.choice(names)]
         qb = quivers[rng.choice(names)]
         left = condense_sigma(quiver_tensor(qa, qb))
@@ -260,9 +247,11 @@ def sigma_invariant_suite(seed: int = 20250814, rounds: int = 6) -> SuiteReport:
         L = lower_set_lattice(condense_sigma(anti))
         rep.check("antichain lower sets number 2^n",
                   len(L.sets) == 2 ** n, n)
-    for _ in range(rounds):
+    for _ in range(SIGMA_ROUNDS):
         n = rng.randrange(1, 6)
-        q = HomQuiver([f"v{i}" for i in range(n)], _random_preorder(rng, n))
+        # a random reflexive relation; condense_sigma closes it
+        edges = [[i == j or rng.random() < 0.35 for j in range(n)] for i in range(n)]
+        q = HomQuiver([f"v{i}" for i in range(n)], edges)
         P = condense_sigma(q)
         L = lower_set_lattice(P)
         for si, S in enumerate(L.sets):

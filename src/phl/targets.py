@@ -16,8 +16,7 @@ Bounds matter: counts are counts among models whose carriers stay under
 the stated size, and every bound note says why that window suffices.
 """
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .closure import (
@@ -48,7 +47,6 @@ from .corpus import (
 )
 from .homsearch import (
     exact_local_retraction,
-    find_hom,
     local_retraction_check,
 )
 from .groups import all_subgroups
@@ -56,7 +54,7 @@ from .parser import parse_sequents
 from .sigma import (
     HomQuiver,
     acc_probe,
-    condense_sigma,
+    build_hom_quiver,
     gset_sigma_check,
     is_chain,
     sigma_of_structures,
@@ -68,7 +66,6 @@ from .structures import (
     canonical_key,
     chain_colimit,
     is_surjective,
-    sequent_witness,
     structure_size,
 )
 from .suites import (
@@ -102,20 +99,13 @@ def _sigma_count(theory_name, k):
     return run
 
 
-def _no_backward_homs(family, label):
+def _no_backward_homs(family):
     """Certify no homomorphism down the chain and one up every step."""
     def run(ctx):
-        backward = forward = 0
-        for i, X in enumerate(family):
-            for j, Y in enumerate(family):
-                if i == j:
-                    continue
-                h = find_hom(X, Y)
-                if i > j and h is not None:
-                    backward += 1
-                if i < j and h is not None:
-                    forward += 1
-        return {"backward-homs": backward, "forward-homs": forward}
+        edges = build_hom_quiver(family).edges
+        n = len(family)
+        return {"backward-homs": sum(edges[i][j] for i in range(n) for j in range(i)),
+                "forward-homs": sum(edges[j][i] for i in range(n) for j in range(i))}
     return run
 
 
@@ -149,7 +139,7 @@ def _law_report(theory_name, k):
     return run
 
 
-def _suite(fn, instances):
+def _suite(fn):
     def run(ctx):
         rep = fn()
         return {"instances": rep.instances, "failures": len(rep.failures)}
@@ -359,17 +349,17 @@ TARGETS = [
         "lattice-no-backward-homs", ("acc-false",),
         "bounded lattices M_2..M_5; exhaustive hom search per pair",
         "pinned", {"backward-homs": 0, "forward-homs": 6},
-        _no_backward_homs([m_lattice(n) for n in range(2, 6)], "M")),
+        _no_backward_homs([m_lattice(n) for n in range(2, 6)])),
     ReproductionTarget(
         "endo-primes-no-backward-homs", ("acc-false",),
         "coproducts of the first 1..3 prime cycles; exhaustive hom search",
         "pinned", {"backward-homs": 0, "forward-homs": 3},
-        _no_backward_homs([endo_primes(n) for n in range(0, 3)], "A")),
+        _no_backward_homs([endo_primes(n) for n in range(0, 3)])),
     ReproductionTarget(
         "presheaf-no-backward-homs", ("acc-false",),
         "truncated chain diagrams L_0..L_4 over a five sort base",
         "pinned", {"backward-homs": 0, "forward-homs": 10},
-        _no_backward_homs([presheaf_L(i) for i in range(0, 5)], "L")),
+        _no_backward_homs([presheaf_L(i) for i in range(0, 5)])),
     ReproductionTarget(
         "acc-lattice-chain", ("acc-false",),
         "stages M_2..M_6 (horizon 4); verdict is one-sided at any horizon",
@@ -462,17 +452,17 @@ TARGETS = [
         "definable-fixpoints", ("closure-laws",),
         "six theory and sequent-set pairs, carriers at most 3",
         "derived", {"instances": 6, "failures": 0},
-        _suite(definable_fixpoint_suite, 6)),
+        _suite(definable_fixpoint_suite)),
     ReproductionTarget(
         "probe-properties", ("suite",),
         "six universes with carriers at most 2, seeded sampling",
         "derived", {"instances": 219, "failures": 0},
-        _suite(probe_property_suite, 219)),
+        _suite(probe_property_suite)),
     ReproductionTarget(
         "sigma-invariants", ("suite",),
         "four universes with carriers at most 2 plus random preorders",
         "derived", {"instances": 82, "failures": 0},
-        _suite(sigma_invariant_suite, 82)),
+        _suite(sigma_invariant_suite)),
     ReproductionTarget(
         "closure-p-empty-set", ("closure",),
         "plain sets, carriers at most 3", "derived",

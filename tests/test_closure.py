@@ -1,5 +1,7 @@
 import itertools
+import json
 import os
+import random
 
 import pytest
 
@@ -22,11 +24,16 @@ from phl.closure import (
     ModelClass,
 )
 from phl.corpus import get_morphism, get_theory, theory_names
+from phl.homsearch import enumerate_homs, iter_homs, passes_probes
 from phl.parser import parse_sequents
 from phl.structures import (
     PartialStructure,
     interpreted_witness,
+    is_closed_mono,
     is_isomorphic,
+    is_surjective,
+    reduct,
+    reduct_hom,
     structure_size,
 )
 from phl.syntax import BudgetError
@@ -242,6 +249,50 @@ def test_universe_cache_truncated_line_is_a_miss(tmp_path, capsys):
     assert "line 5 is not valid JSON" in err
 
 
+def _rewrite_row(row, change):
+    """Damage one cache line: parse it, let `change` edit it, dump it back."""
+    def damage(lines):
+        obj = json.loads(lines[row])
+        change(obj)
+        return "".join(lines[:row] + [json.dumps(obj) + "\n"] + lines[row + 1:])
+    return damage
+
+
+def test_universe_cache_header_that_is_not_an_object_is_a_miss(tmp_path, capsys):
+    err = _damage_and_reload(tmp_path, capsys,
+                             lambda lines: "[1, 2]\n" + "".join(lines[1:]))
+    assert "the header is not a JSON object" in err
+
+
+def test_universe_cache_row_without_key_is_a_miss(tmp_path, capsys):
+    err = _damage_and_reload(tmp_path, capsys, _rewrite_row(2, lambda r: r.pop("key")))
+    assert "row 2 lacks a string key or a structure" in err
+
+
+def test_universe_cache_row_without_structure_is_a_miss(tmp_path, capsys):
+    err = _damage_and_reload(tmp_path, capsys,
+                             _rewrite_row(4, lambda r: r.pop("structure")))
+    assert "row 4 lacks a string key or a structure" in err
+
+
+def _repeat_a_label(row):
+    row["structure"]["carriers"]["el"] = ["0", "0"]
+
+
+def _structure_as_list(row):
+    row["structure"] = ["el", "0"]
+
+
+@pytest.mark.parametrize("damage,reason", [
+    (_repeat_a_label, "carrier of sort 'el' repeats a label"),
+    (_structure_as_list, "'list' object has no attribute 'get'"),
+])
+def test_universe_cache_row_with_invalid_structure_is_a_miss(tmp_path, capsys,
+                                                            damage, reason):
+    err = _damage_and_reload(tmp_path, capsys, _rewrite_row(3, damage))
+    assert f"row 3 holds no valid structure ({reason})" in err
+
+
 def test_closure_p_of_empty_class_is_terminal():
     U = enumerate_models(get_theory("set"), 3)
     empty = ModelClass(U, frozenset())
@@ -422,3 +473,77 @@ def test_morphism_checks():
     assert bad.kind == "countermodel"
     assert structure_size(bad.structure) == 1
     assert bad.witness is not None
+
+
+def test_law_report_counts_the_stagewise_row():
+    """Sc after P within the joint closure is a counted row, one per class,
+    not an assert that python -O strips."""
+    U = enumerate_models(get_theory("urel"), 2)
+    rep = operator_law_report(U, seed=20250814)
+    rows = {law: (count, bad) for law, count, bad in rep.rows}
+    assert rows["Sc.P <= joint Sc.P"] == (len(U.members) + 10, [])
+
+
+# ---------------------------------------------------------------------------
+# the grow closures against a naive reference: edge matrices computed
+# outright from the hom search, without the universe memo, then rounds that
+# add every non-member with an edge into the class until one adds nothing
+
+
+def _edge_matrix(U, edge):
+    n = len(U.members)
+    return [[edge(U.members[c], U.members[m]) for m in range(n)] for c in range(n)]
+
+
+def _naive_grow(indices, edges):
+    S = set(indices)
+    while True:
+        new = {c for c in range(len(edges)) if c not in S
+               and any(edges[c][m] for m in S)}
+        if not new:
+            return frozenset(S)
+        S |= new
+
+
+def _reference_edges(U, rho=None):
+    probes = U.members if rho is None else [reduct(rho, X) for X in U.members]
+    see = (lambda p: p) if rho is None else (lambda p: reduct_hom(rho, p))
+    return {
+        "Sc": _edge_matrix(U, lambda C, M: any(
+            is_closed_mono(h) for h in iter_homs(C, M, injective=True))),
+        "Hloc": _edge_matrix(U, lambda C, M: any(
+            passes_probes(see(p), probes) for p in enumerate_homs(M, C))),
+        "surj": _edge_matrix(U, lambda C, M: any(
+            is_surjective(p) for p in enumerate_homs(M, C))),
+    }
+
+
+def _check_grow_closures(U, classes, rho=None):
+    edges = _reference_edges(U, rho)
+    ops = {"Sc": closure_Sc, "Hloc": lambda mc: closure_Hloc(mc, rho),
+           "surj": surjective_image_closure}
+    for idx in classes:
+        for name, op in ops.items():
+            assert (op(ModelClass(U, idx)).indices
+                    == _naive_grow(idx, edges[name])), (name, sorted(idx))
+
+
+@pytest.mark.parametrize("name,k,rho", [("urel", 2, None), ("pos", 3, None),
+                                        ("pos", 3, "pos-underlying")])
+def test_grow_closures_match_naive_reference_on_every_class(name, k, rho):
+    """pos-underlying changes the local retraction closure of 404 of the 512
+    classes of pos k=3, so the last case tells the probes apart."""
+    U = enumerate_models(get_theory(name), k)
+    _check_grow_closures(U, _every_class(U), rho and get_morphism(rho))
+
+
+def test_grow_closures_match_naive_reference_on_brel():
+    """Seeded classes of brel k=2, local retractions with and without
+    probing through pos-to-brel."""
+    U = enumerate_models(get_theory("brel"), 2)
+    n = len(U.members)
+    rng = random.Random(20250814)
+    classes = [frozenset(i for i in range(n) if rng.random() < p)
+               for p in (0.1, 0.2, 0.35) for _ in range(40)]
+    _check_grow_closures(U, classes)
+    _check_grow_closures(U, classes, get_morphism("pos-to-brel"))

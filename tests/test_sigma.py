@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from phl.corpus import (
@@ -187,3 +189,61 @@ def test_gset_sigma_check_small_groups():
         rep = gset_sigma_check(G, k)
         assert rep.iso, (rep.group, rep.note)
         assert rep.components == expect
+
+
+# ---------------------------------------------------------------------------
+# condensation against an independent oracle: reachability by depth-first
+# search from every vertex, then classes of mutually reachable vertices
+
+
+def dfs_condensation(edges):
+    n = len(edges)
+    reach = []
+    for v in range(n):
+        seen, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for w in range(n):
+                if edges[u][w] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    comps = []
+    for v in range(n):
+        if not any(v in c for c in comps):
+            comps.append(tuple(w for w in range(n) if w in reach[v] and v in reach[w]))
+    leq = {(a, b) for a, ca in enumerate(comps) for b, cb in enumerate(comps)
+           if cb[0] in reach[ca[0]]}
+    return comps, leq
+
+
+def _random_quivers(n, rng):
+    """Empty, cyclic, path (not transitive) and seeded random edge sets,
+    loops absent or present."""
+    yield [[False] * n for _ in range(n)]
+    yield [[w == (v + 1) % n for w in range(n)] for v in range(n)]
+    yield [[w == v + 1 for w in range(n)] for v in range(n)]
+    for density in (0.1, 0.25, 0.5, 0.8):
+        for _ in range(12):
+            yield [[rng.random() < density for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_condense_sigma_matches_dfs_oracle(n):
+    rng = random.Random(7000 + n)
+    for edges in _random_quivers(n, rng):
+        labels = [f"v{i}" for i in range(n)]
+        P = condense_sigma(HomQuiver(labels, edges))
+        comps, leq = dfs_condensation(edges)
+        assert P.components == comps, edges
+        assert P.leq == leq, edges
+        assert P.labels == ["[" + ",".join(labels[v] for v in c) + "]" for c in comps]
+
+
+def test_gset_sigma_check_names_a_bad_orbit_set(monkeypatch):
+    """An orbit sum that fails the action axioms is an explicit error, one
+    that python -O cannot strip."""
+    import phl.structures
+    monkeypatch.setattr(phl.structures, "is_model", lambda X: False)
+    with pytest.raises(ValueError, match=r"orbit set \{\} of c2 violates"):
+        gset_sigma_check(cyclic_group(2), 4)
