@@ -20,10 +20,12 @@ import random
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Optional
 
 from .homsearch import enumerate_homs, iter_homs, passes_probes
 from .structures import (
+    RELABEL_BUDGET,
     PartialStructure,
     canonical_key,
     is_closed_mono,
@@ -128,15 +130,28 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
     symbols, in declaration order, and within a symbol the argument tuples
     in itertools.product order.  A function cell takes None (undefined) and
     then each carrier element, a relation cell False and then True, so
-    complete structures come in lexicographic order and the first labelled
-    representative of each isomorphism class is kept.
+    complete structures come in lexicographic order of their cell vectors.
+
+    The search is orderly (Read 1978; McKay 1998): it keeps a complete
+    structure only if no relabeling of its carriers gives a smaller cell
+    vector.  Relabeling maps models to models, so that keeps exactly the
+    least vector of each isomorphism class, which is the first labelled
+    model of the class in search order, the representative a search that
+    deduplicated by canonical key would keep.  Branches that cannot lead to
+    a least vector are cut early: once the row of the r-th element of a
+    symbol's first argument sort is set, every permutation of the first r
+    elements of that sort maps the cells set so far onto themselves, and if
+    one of them gives a smaller prefix, so it does to every completion.
+    Checking a complete structure tries every relabeling; past
+    RELABEL_BUDGET of them (the budget of canonical_key) it raises
+    BudgetError.  canonical_key runs once per kept structure.
 
     Once a cell is set, the axioms whose last symbol it belongs to are
     checked three-valued, with that symbol's later cells open
     (sequent_witness), and the branch is cut when every completion violates
     one; at the symbol's last cell the check is exact.  `visit_budget`
-    bounds the search nodes (cell assignments).  Members are deduplicated by
-    canonical key and sorted by size, making the universe deterministic.
+    bounds the search nodes (cell assignments).  Members are sorted by size
+    and canonical key, making the universe deterministic.
     """
     if cache_dir is not None:
         cached = load_universe(theory, k, cache_dir)
@@ -145,6 +160,8 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
     sig = theory.signature
     symbols = [(f, sig.functions[f][0]) for f in sig.functions]
     symbols += [(r, sig.relations[r]) for r in sig.relations]
+    argsorts_of = dict(symbols)
+    result_of = {f: result for f, (_, result) in sig.functions.items()}
     ground = []
     axioms_of = {name: [] for name, _ in symbols}  # by the last symbol mentioned
     for seq in theory.axioms:
@@ -176,9 +193,66 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
                               {name: frozenset(space[j + 1:])}))
         return upfront, cells
 
-    def assign(X, cells, c):
+    def row_ends(cells):
+        """For each prefix length n below the full one, (sort, r) when the
+        n-th cell ends the row of element r-1 of the first argument sort of
+        its symbol, r >= 2, else None."""
+        ends = [None] * (len(cells) + 1)
+        for n, (name, _, args, *_) in enumerate(cells[:-1], 1):
+            if args and args[0] != "0" and (cells[n][0] != name or cells[n][2][0] != args[0]):
+                ends[n] = (argsorts_of[name][0], int(args[0]) + 1)
+        return ends
+
+    def relabelings(n):
+        """The relabelings tried at prefix length n, each as the source cell
+        and the value-rank map of every one of the first n cells of the
+        relabeled vector.  The identity is left out."""
+        sizes = {s: len(X.carrier(s)) for s in sig.sorts}
+        total = math.prod(math.factorial(size) for size in sizes.values())
+        if n == len(cells):  # a complete structure: every relabeling
+            if total > RELABEL_BUDGET:
+                shown = ", ".join(f"{s}:{size}" for s, size in sizes.items())
+                raise BudgetError(
+                    f"model enumeration of '{theory.name}' at k={k} stopped at a "
+                    f"complete structure with carrier sizes {shown}: checking it takes "
+                    f"{total} relabelings, over the canonical key budget of {RELABEL_BUDGET}")
+            group = (dict(zip(sig.sorts, combo)) for combo in itertools.product(
+                *(itertools.permutations(range(sizes[s])) for s in sig.sorts)))
+        elif total > RELABEL_BUDGET:
+            return []  # no cut; the first complete structure raises
+        else:
+            sort, r = ends[n]
+            group = ({sort: head + tuple(range(r, sizes[sort]))}
+                     for head in itertools.permutations(range(r)))
+        at = {(cell[0], cell[2]): i for i, cell in enumerate(cells)}
+        out = []
+        for perm in itertools.islice(group, 1, None):
+            inverse = {s: {str(b): str(a) for a, b in enumerate(p)} for s, p in perm.items()}
+            ranks = {s: (0,) + tuple(1 + b for b in p) for s, p in perm.items()}
+            src, vms = [], []
+            for name, _, args, values, *_ in cells[:n]:
+                src.append(at[name, tuple(inverse[s][a] if s in inverse else a
+                                          for s, a in zip(argsorts_of[name], args))])
+                vms.append(ranks.get(result_of.get(name), range(len(values))))
+            out.append((src, vms))
+        return out
+
+    def smaller(n):
+        """Does some relabeling tried at prefix length n give a smaller
+        prefix of the cell vector?"""
+        if n not in tried:
+            tried[n] = relabelings(n)
+        head = vec[:n]
+        for src, vms in tried[n]:
+            if list(map(getitem, vms, map(vec.__getitem__, src))) < head:
+                return True
+        return False
+
+    def assign(c):
         nonlocal visits
         if c == len(cells):
+            if smaller(c):
+                return
             key = canonical_key(X)
             if key not in found:
                 found[key] = PartialStructure(
@@ -191,7 +265,8 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
             return
         name, table, args, values, axioms, open_cells = cells[c]
         fn = isinstance(table, dict)
-        for value in values:  # the first value leaves the cell absent
+        cut = ends[c + 1]
+        for rank, value in enumerate(values):  # the first value leaves the cell absent
             visits += 1
             if visits > visit_budget:
                 sizes = ", ".join(f"{s}:{len(X.carrier(s))}" for s in sig.sorts)
@@ -203,8 +278,10 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
                 table[args] = value
             elif value is True:
                 table.add(args)
-            if all(sequent_witness(X, seq, open_cells) is None for seq in axioms):
-                assign(X, cells, c + 1)
+            vec[c] = rank
+            if (all(sequent_witness(X, seq, open_cells) is None for seq in axioms)
+                    and not (cut and smaller(c + 1))):
+                assign(c + 1)
         if fn:
             table.pop(args, None)
         else:
@@ -217,7 +294,8 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
         upfront, cells = cells_for(X)
         if any(sequent_witness(X, seq) is not None for seq in upfront):
             continue
-        assign(X, cells, 0)
+        ends, tried, vec = row_ends(cells), {}, [0] * len(cells)
+        assign(0)
 
     order.sort(key=lambda key: (structure_size(found[key]), key))
     U = ModelUniverse(theory, k, [found[key] for key in order], order)
@@ -258,9 +336,9 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
 
     A file for another theory or bound is a silent miss.  A damaged file (a
     line that is not JSON, a header that is not an object, fewer or more rows
-    than its header counts, or a row without a string key and a valid
-    structure) is a miss with a warning on stderr, so enumerate_models
-    rebuilds it."""
+    than its header counts, a row without a string key and a valid
+    structure, or two rows with one key) is a miss with a warning on stderr,
+    so enumerate_models rebuilds it."""
     path = universe_cache_path(theory, k, cache_dir)
     if not os.path.exists(path):
         return None
@@ -292,6 +370,8 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
         except (ValidationError, AttributeError, TypeError) as exc:
             return _damaged_cache(path, f"row {number} holds no valid structure ({exc})")
         keys.append(row["key"])
+    if len(set(keys)) != len(keys):
+        return _damaged_cache(path, "two rows share a key")
     return ModelUniverse(theory, k, members, keys)
 
 

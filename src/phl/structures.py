@@ -450,7 +450,10 @@ def is_iso(h: Homomorphism) -> bool:
 # canonical forms
 
 
-def canonical_key(X: PartialStructure, budget: int = 500000) -> str:
+RELABEL_BUDGET = 500_000  # relabelings one canonical key may try
+
+
+def canonical_key(X: PartialStructure, budget: int = RELABEL_BUDGET) -> str:
     """Lexicographically least encoding over all relabelings per sort.
 
     Structures of the same theory are isomorphic exactly when their keys

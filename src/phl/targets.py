@@ -504,6 +504,13 @@ TARGETS = [
             ("pos", 4), ("preord", 3), ("preord", 4), ("erel", 3), ("erel", 4),
             ("group", 3))),
     ReproductionTarget(
+        "published-counts-k5", ("enumeration",),
+        "models up to isomorphism with every carrier at most 5, summed over "
+        "sizes 0..5: posets OEIS A000112, preorders A001930, simple graphs "
+        "(erel) A000088",
+        "published", {"pos k=5": 88, "preord k=5": 186, "erel k=5": 53},
+        _universe_counts(("pos", 5), ("preord", 5), ("erel", 5))),
+    ReproductionTarget(
         "fam-single-vertex", ("fam",),
         "families of at most 2 copies of one object", "derived",
         {"iso": True, "lattice-size": 2}, _fam(_single_vertex_quiver, 2)),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -5,6 +6,7 @@ import random
 
 import pytest
 
+from phl import closure
 from phl.closure import (
     class_of,
     closure_Hloc,
@@ -28,6 +30,7 @@ from phl.homsearch import enumerate_homs, iter_homs, passes_probes
 from phl.parser import parse_sequents
 from phl.structures import (
     PartialStructure,
+    canonical_key,
     interpreted_witness,
     is_closed_mono,
     is_isomorphic,
@@ -35,6 +38,7 @@ from phl.structures import (
     reduct,
     reduct_hom,
     structure_size,
+    structure_to_json,
 )
 from phl.syntax import BudgetError
 
@@ -190,6 +194,55 @@ def test_enumeration_budget_error_says_where_it_stopped():
     assert message.endswith("assigning the cell leq(1, 1)")
 
 
+def test_enumeration_relabeling_budget_error_says_where_it_stopped(monkeypatch):
+    monkeypatch.setattr(closure, "RELABEL_BUDGET", 5)
+    with pytest.raises(BudgetError) as err:
+        enumerate_models(get_theory("pos"), 3)
+    message = str(err.value)
+    assert message.startswith("model enumeration of 'pos' at k=3")
+    assert "complete structure with carrier sizes el:3" in message
+    assert message.endswith("takes 6 relabelings, over the canonical key budget of 5")
+
+
+@pytest.mark.parametrize("name,k,members", [("pos", 4, 25), ("chaincov-3", 3, 100)])
+def test_enumeration_keys_each_member_once(monkeypatch, name, k, members):
+    """The orderly search reaches one complete structure per isomorphism
+    class; deduplicating by key instead took 243 keys for pos at k=4 and
+    1,678 for chaincov-3 at k=3."""
+    calls = []
+    monkeypatch.setattr(closure, "canonical_key",
+                        lambda X: calls.append(X) or canonical_key(X))
+    U = enumerate_models(get_theory(name), k)
+    assert len(U.members) == members
+    assert len(calls) == members
+
+
+# sha256 of json.dumps([keys, [structure_to_json(X) ...]], sort_keys=True) for
+# universes enumerated by the search that deduplicated every complete
+# structure by canonical key, before the orderly search replaced it
+UNIVERSE_DIGESTS = {
+    ("brel", 3): "06108a47a2dd96356b65f0ebefca794f6f426c908a0ce0af1c7b6fa69c3bd7a7",
+    ("erel", 3): "b2dce22c771ee2e81fc5947ae66f674e4573d81e4b6ed7f37c10b057d4a7caf5",
+    ("erel", 4): "ade90477140839d678b97040f5c31e4cc96aa26d46f54aaf60942d14c03ab6d7",
+    ("group", 3): "4adedec6052dc165b0c8f2c7796dbe1eabf428be42df0ce5f504fe5e216c6860",
+    ("nset-3", 3): "16b278b25a5d6f962db822df6c64da1fd57805a7ef3066b50c11cc372afab0dc",
+    ("nset-4", 4): "71febee830a06b236fc6e6bd2123fafeb1f3e540537385d07535bdded2a63664",
+    ("pos", 3): "aa4d532846f02ec9362c3ad97f24f238519df233a36ca4f961490ea494fceb49",
+    ("pos", 4): "950451a992da4b87a040b9cb7c1ca08236a03734b6c5788495d20104d7c7adbb",
+    ("preord", 3): "396905500cf5d9a9199972bab62e133ead2e4d7e60b792394386292f50470a82",
+    ("preord", 4): "940048a315cd3287c6b7e708bf3a4853d4b0ebc2baf171cdf7d885a7fefc8aea",
+    ("set", 3): "76f17b6824043c887a3e3984460a007a73effa1cb73807bc212803bb8e23e3e2",
+    ("chaincov-3", 3): "3106765d04a980e8630f3da8b13255082a242018a680d5ba8430873fffba1e69",
+}
+
+
+@pytest.mark.parametrize("name,k", sorted(UNIVERSE_DIGESTS))
+def test_universe_matches_its_pinned_digest(name, k):
+    U = enumerate_models(get_theory(name), k)
+    doc = json.dumps([U.keys, [structure_to_json(X) for X in U.members]], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == UNIVERSE_DIGESTS[name, k]
+
+
 def test_pos_universe_at_bound_two_is_the_expected_quadruple():
     U = enumerate_models(get_theory("pos"), 2)
     assert len(U.members) == 4
@@ -247,6 +300,11 @@ def test_universe_cache_truncated_line_is_a_miss(tmp_path, capsys):
     err = _damage_and_reload(tmp_path, capsys,
                              lambda lines: "".join(lines[:-1]) + lines[-1][:20])
     assert "line 5 is not valid JSON" in err
+
+
+def test_universe_cache_repeated_key_is_a_miss(tmp_path, capsys):
+    err = _damage_and_reload(tmp_path, capsys, lambda lines: "".join(lines[:-1] + lines[-2:-1]))
+    assert "two rows share a key" in err
 
 
 def _rewrite_row(row, change):
