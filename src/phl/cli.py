@@ -28,7 +28,7 @@ from .structures import (
     structure_to_json,
 )
 from .syntax import PhlError, print_sequent, print_theory
-from .targets import RunContext, TARGETS, all_tags, targets_with_tag
+from .targets import RunContext, TARGETS, all_tags, get_target, targets_with_tag
 
 
 def _resolve_theory(name: str):
@@ -86,6 +86,9 @@ def _read_json(path: str):
 
 def _cmd_hom(args) -> int:
     doc = _read_json(args.source)
+    if args.theory is None and not (isinstance(doc, dict) and "signature" in doc):
+        raise PhlError(f'{args.source}: no "signature" field names the theory '
+                       "(pass --theory)")
     theory = _resolve_theory(args.theory or doc["signature"])
     X = structure_from_json(doc, theory)
     Y = structure_from_json(_read_json(args.target), theory)
@@ -129,7 +132,10 @@ def _parse_class(spec: str, U, theory) -> ModelClass:
         seqs = parse_sequents(spec[4:], theory.signature)
         return definable_class(U, seqs)
     if spec.startswith("members:"):
-        idx = frozenset(int(p) for p in spec[8:].split(",") if p != "")
+        try:
+            idx = frozenset(int(p) for p in spec[8:].split(",") if p != "")
+        except ValueError:
+            raise SystemExit(f"bad member index in {spec!r} (use members:i,j)") from None
         for i in idx:
             if not 0 <= i < len(U.members):
                 raise SystemExit(f"member index {i} out of range")
@@ -184,7 +190,7 @@ def _cmd_repro(args) -> int:
         names = args.names
     if args.list:
         for name in names:
-            t = next(x for x in TARGETS if x.name == name)
+            t = get_target(name)
             print(f"{t.name:<32} [{', '.join(t.tags)}] ({t.provenance}) "
                   f"{t.bound}")
         return 0

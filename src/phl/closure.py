@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import getitem
 from typing import Optional
 
-from .homsearch import enumerate_homs, iter_homs, passes_probes
+from .homsearch import enumerate_homs, find_section, iter_homs
 from .structures import (
     RELABEL_BUDGET,
     PartialStructure,
@@ -31,7 +31,6 @@ from .structures import (
     is_closed_mono,
     is_surjective,
     product,
-    reduct,
     reduct_hom,
     sequent_witness,
     structure_from_json,
@@ -87,16 +86,17 @@ class ModelUniverse:
             for h in iter_homs(self.members[i], self.members[j], injective=True)))
 
     def locret(self, i: int, j: int, rho: Optional[TheoryMorphism] = None) -> bool:
-        """Does some homomorphism member i -> member j pass the local
-        retraction probes?  Probes are the whole universe (its reducts, when a
-        theory morphism is supplied)."""
-        if rho is None:
-            return self._remember(("locret", i, j, None), lambda: any(
-                passes_probes(p, self.members) for p in self.homs(i, j)))
-        probes = self._remember(("reducts", rho.name),
-                                lambda: [reduct(rho, X) for X in self.members])
-        return self._remember(("locret", i, j, rho.name), lambda: any(
-            passes_probes(reduct_hom(rho, p), probes) for p in self.homs(i, j)))
+        """Does some homomorphism p: member i -> member j (its reduct along
+        rho, when a theory morphism is supplied) pass the local retraction
+        probes of the whole universe (its reducts)?
+
+        That is retraction existence in disguise: member j (its reduct) is
+        one of the probes, and lifting its identity through p is a section
+        of p, while a section s lifts every probe map f as s . f.  So one
+        section search per homomorphism decides it."""
+        return self._remember(("locret", i, j, None if rho is None else rho.name), lambda: any(
+            find_section(p if rho is None else reduct_hom(rho, p)) is not None
+            for p in self.homs(i, j)))
 
     def product_index(self, combo: tuple) -> Optional[int]:
         """The member index of the product of the members in `combo`, a

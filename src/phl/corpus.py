@@ -28,6 +28,7 @@ from .syntax import (
     TheoryMorphism,
     TOP,
     RelAtom,
+    ValidationError,
     Var,
     compile_relative_theory,
     extended_signature,
@@ -376,6 +377,8 @@ _PRIMES = (2, 3, 5, 7, 11, 13)
 
 def endo_primes(n: int) -> PartialStructure:
     """Disjoint union of prime cycles C_2, C_3, ... up to index n."""
+    if n >= len(_PRIMES):
+        raise ValidationError(f"the endo chain is truncated at stage {len(_PRIMES) - 1}")
     X, _ = disjoint_union(get_theory("end"),
                           [cycle_endo(_PRIMES[i]) for i in range(n + 1)],
                           name=f"A{n}")
@@ -528,7 +531,7 @@ def get_chain(name: str) -> ChainRecipe:
 
 def _presheaf_stage(n: int) -> PartialStructure:
     if n > 5:
-        raise ValueError("the presheaf chain is truncated at stage 5")
+        raise ValidationError("the presheaf chain is truncated at stage 5")
     return presheaf_L(n)
 
 

@@ -184,12 +184,9 @@ def find_section(p: Homomorphism) -> Optional[Homomorphism]:
 @dataclass
 class LocalRetractionReport:
     verdict: str  # "passed-up-to-probes" | "failed"
-    probes_checked: int
     maps_checked: int
     witness_probe: Optional[PartialStructure]
     witness_map: Optional[Homomorphism]
-    exact: Optional[bool]  # only for theories with a known exact rule
-    exact_rule: Optional[str]
 
 
 def exact_local_retraction(p: Homomorphism) -> tuple:
@@ -226,35 +223,21 @@ def local_retraction_check(p: Homomorphism, probes: list) -> LocalRetractionRepo
     """Probe whether p looks like a local retraction.
 
     For every probe G and every homomorphism f: G -> target, a lift
-    g: G -> source with p . g = f must exist.  With the full bounded universe
-    as probes this is retraction existence in disguise (the target itself is a
-    probe and lifting its identity is a section), but the probe view is what
-    generalizes, so the report speaks in probes.  An exact verdict is attached
-    when the theory declares a rule.
+    g: G -> source with p . g = f must exist; the report names the first
+    probe map without one.  A universe decides this for its own members as
+    probes by section search instead (ModelUniverse.locret).
     """
     X, Y = p.source, p.target
     fibers = _fibers(p)
     maps_checked = 0
-    witness = None
     for G in probes:
         for f in iter_homs(G, Y):
             maps_checked += 1
-            restrict = {}
-            for s in G.theory.signature.sorts:
-                for c in G.carrier(s):
-                    restrict[(s, c)] = fibers[(s, f.maps[s][c])]
-            lift = find_hom(G, X, restrict=restrict)
-            if lift is None:
-                witness = (G, f)
-                break
-        if witness is not None:
-            break
-    exact, rule = exact_local_retraction(p)
-    if witness is None:
-        return LocalRetractionReport("passed-up-to-probes", len(probes), maps_checked,
-                                     None, None, exact, rule)
-    return LocalRetractionReport("failed", len(probes), maps_checked,
-                                 witness[0], witness[1], exact, rule)
+            restrict = {(s, c): fibers[(s, f.maps[s][c])]
+                        for s in G.theory.signature.sorts for c in G.carrier(s)}
+            if find_hom(G, X, restrict=restrict) is None:
+                return LocalRetractionReport("failed", maps_checked, G, f)
+    return LocalRetractionReport("passed-up-to-probes", maps_checked, None, None)
 
 
 def passes_probes(p: Homomorphism, probes: list) -> bool:

@@ -23,7 +23,7 @@ from .groups import (
 )
 from .homsearch import hom_exists
 from .structures import ChainRecipe
-from .syntax import BudgetError
+from .syntax import BudgetError, ValidationError
 
 
 @dataclass
@@ -253,20 +253,23 @@ def acc_probe(chain: ChainRecipe, horizon: int) -> AccResult:
 
     Reports the least N < horizon such that every pair of stages in
     [N, horizon] has homomorphisms both ways; N = horizon would be vacuous,
-    so failing that the verdict is no-stabilization with a concrete
-    unconnected pair from the inspected tail.
+    so failing that the verdict is no-stabilization with the unconnected
+    pair of the last two stages.  Hom existence is a preorder, so a tail is
+    mutually connected when each consecutive pair maps both ways: walking
+    down from the horizon takes at most 2 * horizon searches.
     """
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    conn = build_hom_quiver([chain.structure_at(n) for n in range(horizon + 1)]).edges
-    for N in range(horizon):
-        if all(conn[m][n] for m in range(N, horizon + 1) for n in range(N, horizon + 1)):
-            return AccResult(True, N, horizon, None)
-    for m in range(horizon - 1, horizon + 1):
-        for n in range(horizon - 1, horizon + 1):
-            if not conn[m][n]:
-                return AccResult(False, None, horizon, (m, n))
-    raise AssertionError("unreachable: tail connected but no stage accepted")
+        raise ValidationError("horizon must be at least 1")
+    upper = chain.structure_at(horizon)
+    for n in range(horizon, 0, -1):
+        lower = chain.structure_at(n - 1)
+        forward = hom_exists(lower, upper)
+        if not (forward and hom_exists(upper, lower)):
+            if n < horizon:
+                return AccResult(True, n, horizon, None)
+            return AccResult(False, None, horizon, (n, n - 1) if forward else (n - 1, n))
+        upper = lower
+    return AccResult(True, 0, horizon, None)
 
 
 # ---------------------------------------------------------------------------

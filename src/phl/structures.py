@@ -453,11 +453,12 @@ def is_iso(h: Homomorphism) -> bool:
 RELABEL_BUDGET = 500_000  # relabelings one canonical key may try
 
 
-def canonical_key(X: PartialStructure, budget: int = RELABEL_BUDGET) -> str:
+def canonical_key(X: PartialStructure) -> str:
     """Lexicographically least encoding over all relabelings per sort.
 
     Structures of the same theory are isomorphic exactly when their keys
-    agree.  Cost grows with the product of carrier factorials; guarded.
+    agree.  Cost grows with the product of carrier factorials: past
+    RELABEL_BUDGET relabelings it raises BudgetError before trying any.
     """
     sig = X.theory.signature
     sorted_sorts = list(sig.sorts)
@@ -466,7 +467,7 @@ def canonical_key(X: PartialStructure, budget: int = RELABEL_BUDGET) -> str:
         n = len(X.carrier(s))
         for i in range(2, n + 1):
             total *= i
-        if total > budget:
+        if total > RELABEL_BUDGET:
             raise BudgetError(f"canonical key over {total}+ relabelings")
     best = None
     perms_per_sort = [

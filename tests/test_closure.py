@@ -576,6 +576,28 @@ def _reference_edges(U, rho=None):
     }
 
 
+@pytest.mark.parametrize("name,k,rho", [
+    ("pos", 3, None), ("pos", 3, "pos-underlying"),
+    ("brel", 2, None), ("brel", 2, "pos-to-brel"),
+    ("nset-3", 3, None), ("remark-locret-2", 2, None), ("cospan", 2, None),
+])
+def test_locret_equals_the_probe_form_on_every_pair(name, k, rho):
+    """ModelUniverse.locret searches one section per homomorphism; the probe
+    form lifts every map from every member (every member's reduct)."""
+    U = enumerate_models(get_theory(name), k)
+    rho = rho and get_morphism(rho)
+    probes = U.members if rho is None else [reduct(rho, X) for X in U.members]
+    see = (lambda p: p) if rho is None else (lambda p: reduct_hom(rho, p))
+    n = len(U.members)
+    held = 0
+    for i, j in itertools.product(range(n), repeat=2):
+        probed = any(passes_probes(see(p), probes)
+                     for p in enumerate_homs(U.members[i], U.members[j]))
+        assert U.locret(i, j, rho) == probed, (i, j)
+        held += probed
+    assert 0 < held < n * n
+
+
 def _check_grow_closures(U, classes, rho=None):
     edges = _reference_edges(U, rho)
     ops = {"Sc": closure_Sc, "Hloc": lambda mc: closure_Hloc(mc, rho),

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import phl
 from phl.cli import main
 from phl.corpus import (
     chain_names,
@@ -215,6 +219,29 @@ def test_cli_repro_single(capsys):
 def test_cli_repro_unknown_name(capsys):
     code, out, err = run_cli(capsys, "repro", "definitely-not-a-target")
     assert code != 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["repro", "--list", "nosuch"],
+    ["closure", "pos", "--max-size", "2", "--class", "members:x"],
+    ["acc", "endo-chain", "--horizon", "0"],
+    ["acc", "endo-chain", "--horizon", "6"],
+    ["acc", "presheaf-chain", "--horizon", "6"],
+    ["hom", "{nosig}", "{nosig}"],
+])
+def test_cli_input_errors_end_in_one_stderr_line(argv, tmp_path):
+    nosig = tmp_path / "nosig.json"
+    nosig.write_text('{"carriers": {"el": ["0"]}}')
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phl.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phl.cli"] + [a.format(nosig=nosig) for a in argv],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if argv[0] == "hom":
+        assert str(nosig) in proc.stderr and '"signature"' in proc.stderr
 
 
 def test_cli_repro_all_refuses_names_and_tags(capsys):

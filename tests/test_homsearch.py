@@ -104,11 +104,11 @@ def test_local_retraction_full_probe_set_equals_retract():
     p = Homomorphism(two, one, {"el": {"0": "0", "1": "0"}})
     rep = local_retraction_check(p, [one, two])
     assert rep.verdict == "passed-up-to-probes"
-    assert rep.exact is True and rep.exact_rule == "surjection"
+    assert exact_local_retraction(p) == (True, "surjection")
     inc = Homomorphism(one, two, {"el": {"0": "0"}})
     rep2 = local_retraction_check(inc, [one, two])
     assert rep2.verdict == "failed"
-    assert rep2.exact is False
+    assert exact_local_retraction(inc) == (False, "surjection")
     assert rep2.witness_probe is not None and rep2.witness_map is not None
 
 

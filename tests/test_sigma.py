@@ -1,9 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
+from phl import sigma
 from phl.corpus import (
     antichain_poset,
+    chain_names,
     chain_poset,
     get_chain,
     m_lattice,
@@ -13,6 +16,7 @@ from phl.corpus import (
 )
 from phl.groups import cyclic_group, symmetric_3, trivial_group
 from phl.sigma import (
+    AccResult,
     HomQuiver,
     acc_probe,
     build_hom_quiver,
@@ -31,7 +35,7 @@ from phl.sigma import (
     subgroup_category,
     verify_fam_theorem,
 )
-from phl.syntax import BudgetError
+from phl.syntax import BudgetError, ValidationError
 
 
 def quiver(labels, arcs):
@@ -141,6 +145,48 @@ def test_acc_probe_reports_least_stable_stage():
     res = acc_probe(get_chain("ordinal-chain-2"), 6)
     assert res.stabilized
     assert res.stage == 3  # truncation freezes the chain from stage 3 on
+
+
+def acc_probe_all_pairs(conn, horizon):
+    """The stabilization probe from the full hom matrix of stages
+    0..horizon: the least N whose tail has every pair connected both ways."""
+    for N in range(horizon):
+        if all(conn[m][n] for m in range(N, horizon + 1) for n in range(N, horizon + 1)):
+            return AccResult(True, N, horizon, None)
+    for m in range(horizon - 1, horizon + 1):
+        for n in range(horizon - 1, horizon + 1):
+            if not conn[m][n]:
+                return AccResult(False, None, horizon, (m, n))
+
+
+@pytest.mark.parametrize("name", chain_names())
+def test_acc_probe_matches_all_pairs_oracle(name, monkeypatch):
+    """Consecutive stages decide the tail because hom existence is a
+    preorder.  Each chain's hom matrix over stages 0..5, the last stage of
+    the finite chains, is searched once, and acc_probe reads its entries,
+    at most 2 * horizon of them, at every horizon up to 5.  A horizon past
+    a finite chain's last stage is refused."""
+    chain = get_chain(name)
+    stages = [chain.structure_at(n) for n in range(6)]
+    try:
+        chain.structure_at(6)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="truncated at stage 5"):
+            acc_probe(chain, 6)
+    conn = build_hom_quiver(stages).edges
+    stage_of = {id(X): n for n, X in enumerate(stages)}
+    asked = []
+
+    def lookup(X, Y):
+        asked.append((stage_of[id(X)], stage_of[id(Y)]))
+        return conn[asked[-1][0]][asked[-1][1]]
+
+    monkeypatch.setattr(sigma, "hom_exists", lookup)
+    fixed = dataclasses.replace(chain, structure_at=stages.__getitem__)
+    for horizon in range(1, len(stages)):
+        asked.clear()
+        assert acc_probe(fixed, horizon) == acc_probe_all_pairs(conn, horizon), horizon
+        assert len(asked) <= 2 * horizon
 
 
 def test_ordinal_stage_sigma_is_a_chain():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from phl import structures
 from phl.corpus import (
     antichain_poset,
     chain_poset,
@@ -18,6 +19,7 @@ from phl.homsearch import enumerate_homs, hom_exists
 from phl.parser import parse_sequents
 from phl.structures import (
     Homomorphism,
+    canonical_key,
     chain_colimit,
     compose,
     disjoint_union,
@@ -40,7 +42,7 @@ from phl.structures import (
     structure_to_json,
     validate_structure,
 )
-from phl.syntax import And, App, Eq, RelAtom, Var, ValidationError
+from phl.syntax import And, App, BudgetError, Eq, RelAtom, Var, ValidationError
 
 
 def test_eval_term_partial():
@@ -239,6 +241,23 @@ def test_chain_colimit_verdicts():
     res2 = chain_colimit(growing, 4)
     assert res2.kind == "not-stable"
     assert res2.structure is None
+
+
+def test_canonical_key_refuses_over_budget_before_relabeling(monkeypatch):
+    """10! = 3,628,800 relabelings exceed RELABEL_BUDGET (500,000): the key
+    raises without trying one, and the budget is read at call time."""
+    ten, three = set_of(10), set_of(3)
+
+    class NoRelabeling:
+        def __getattr__(self, name):
+            raise AssertionError(f"itertools.{name} was called")
+
+    monkeypatch.setattr(structures, "itertools", NoRelabeling())
+    with pytest.raises(BudgetError, match="over 3628800"):
+        canonical_key(ten)
+    monkeypatch.setattr(structures, "RELABEL_BUDGET", 5)
+    with pytest.raises(BudgetError, match="over 6"):
+        canonical_key(three)
 
 
 def test_compose_applies_right_factor_first():
