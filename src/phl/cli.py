@@ -302,8 +302,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"{exc.filename}: not found", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        print(f"unknown name: {exc}", file=sys.stderr)
+    except KeyError as exc:  # raised with a full sentence naming the unknown name
+        print(exc.args[0], file=sys.stderr)
         return 1
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
 
+from .canonical import least_relabeling
 from .syntax import (
     And,
     App,
@@ -457,43 +458,64 @@ def canonical_key(X: PartialStructure) -> str:
     """Lexicographically least encoding over all relabelings per sort.
 
     Structures of the same theory are isomorphic exactly when their keys
-    agree.  Cost grows with the product of carrier factorials: past
-    RELABEL_BUDGET relabelings it raises BudgetError before trying any.
+    agree.  A relabeling numbers each sort's elements 0, 1, ...; the
+    encoding is the repr of the carrier sizes, then per function symbol the
+    sorted (argument labels, value label) entries and per relation symbol
+    the sorted label tuples, functions before relations in declaration
+    order.  Past RELABEL_BUDGET relabelings (the product of the carrier
+    factorials) it raises BudgetError before any search.
+
+    The relabeling comes from an exact branch-and-bound search
+    (`canonical.least_relabeling`), not a trial of every relabeling.
+    Under the budget every sort has at most 9 elements, so labels are single
+    digits, and every relabeling gives each symbol the same number of
+    entries of the same shapes.  Two encodings therefore differ only in
+    digits, and their repr order is the order of their cell vectors: per
+    symbol in the order above, per argument label tuple in lexicographic
+    order, one cell ranked by the value's label with an undefined entry
+    last for a function, and present before absent for a relation.  (With
+    equal entry counts, the first tuple where two tables differ is the first
+    place where their sorted entry lists differ.)
+
+    Labels are assigned in increasing order as the cells first need them.
+    Where a cell's arguments need the next label of a sort, the search
+    branches on which unlabeled element takes it; an unlabeled function
+    value takes the next label of its sort, forced, as any other label makes
+    that cell larger.  Each cell is compared with the least vector found so
+    far and the branch is cut once a cell is larger.  Twins, elements y and
+    z of one sort such that swapping them is an automorphism, lead to the
+    same vectors, so a branch tries one unlabeled element per twin class;
+    sets and antichains then take one descent.  When every sort has at most
+    one element there is one relabeling, encoded directly.  The key is
+    built from the winning relabeling.
     """
     sig = X.theory.signature
-    sorted_sorts = list(sig.sorts)
     total = 1
-    for s in sorted_sorts:
+    for s in sig.sorts:
         n = len(X.carrier(s))
         for i in range(2, n + 1):
             total *= i
         if total > RELABEL_BUDGET:
             raise BudgetError(f"canonical key over {total}+ relabelings")
-    best = None
-    perms_per_sort = [
-        [dict(zip(X.carrier(s), perm)) for perm in
-         itertools.permutations(range(len(X.carrier(s))))]
-        for s in sorted_sorts
-    ]
-    for combo in itertools.product(*perms_per_sort):
-        relabel = dict(zip(sorted_sorts, combo))
-        parts = [tuple(len(X.carrier(s)) for s in sorted_sorts)]
-        for f, (argsorts, result) in sig.functions.items():
-            entries = sorted(
-                (tuple(relabel[s][a] for s, a in zip(argsorts, args)), relabel[result][val])
-                for args, val in X.functions.get(f, {}).items()
-            )
-            parts.append(tuple(entries))
-        for r, argsorts in sig.relations.items():
-            tuples = sorted(
-                tuple(relabel[s][a] for s, a in zip(argsorts, args))
-                for args in X.relations.get(r, set())
-            )
-            parts.append(tuple(tuples))
-        enc = repr(parts)
-        if best is None or enc < best:
-            best = enc
-    return best if best is not None else repr([()])
+    if total == 1:
+        order = {s: X.carrier(s) for s in sig.sorts}
+    else:
+        order = least_relabeling(X)
+    relabel = {s: {a: i for i, a in enumerate(order[s])} for s in sig.sorts}
+    parts = [tuple(len(X.carrier(s)) for s in sig.sorts)]
+    for f, (argsorts, result) in sig.functions.items():
+        entries = sorted(
+            (tuple(relabel[s][a] for s, a in zip(argsorts, args)), relabel[result][val])
+            for args, val in X.functions.get(f, {}).items()
+        )
+        parts.append(tuple(entries))
+    for r, argsorts in sig.relations.items():
+        tuples = sorted(
+            tuple(relabel[s][a] for s, a in zip(argsorts, args))
+            for args in X.relations.get(r, set())
+        )
+        parts.append(tuple(tuples))
+    return repr(parts)
 
 
 def is_isomorphic(X: PartialStructure, Y: PartialStructure) -> bool:

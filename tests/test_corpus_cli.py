@@ -244,6 +244,17 @@ def test_cli_input_errors_end_in_one_stderr_line(argv, tmp_path):
         assert str(nosig) in proc.stderr and '"signature"' in proc.stderr
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["repro", "--list", "nosuch"], "unknown reproduction target: nosuch"),
+    (["models", "nosuch", "--max-size", "1"], "unknown theory 'nosuch'"),
+])
+def test_cli_unknown_name_prints_the_sentence_once(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == line + "\n"
+
+
 def test_cli_repro_all_refuses_names_and_tags(capsys):
     for extra in (["sigma-set", "bell-1"], ["--tag", "closure"]):
         code, out, err = run_cli(capsys, "repro", "--all", *extra)
