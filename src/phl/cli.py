@@ -61,9 +61,15 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _max_size(args, least: int = 0) -> int:
+    if args.max_size < least:
+        raise PhlError(f"--max-size must be at least {least}, got {args.max_size}")
+    return args.max_size
+
+
 def _cmd_models(args) -> int:
     theory = _resolve_theory(args.theory)
-    U = enumerate_models(theory, args.max_size, args.cache)
+    U = enumerate_models(theory, _max_size(args), args.cache)
     if args.json:
         print(json.dumps([structure_to_json(X) for X in U.members],
                          indent=2, sort_keys=True))
@@ -85,6 +91,8 @@ def _read_json(path: str):
 
 
 def _cmd_hom(args) -> int:
+    if args.enumerate < 0:
+        raise PhlError(f"--enumerate must be at least 0, got {args.enumerate}")
     doc = _read_json(args.source)
     if args.theory is None and not (isinstance(doc, dict) and "signature" in doc):
         raise PhlError(f'{args.source}: no "signature" field names the theory '
@@ -109,7 +117,7 @@ def _cmd_hom(args) -> int:
 
 def _cmd_sigma(args) -> int:
     theory = _resolve_theory(args.theory)
-    U = enumerate_models(theory, args.max_size, args.cache)
+    U = enumerate_models(theory, _max_size(args), args.cache)
     P = sigma_of_structures(list(U.members))
     print(f"{len(P.components)} strongly connected components among the "
           f"{len(U.members)} models of {theory.name} with every carrier "
@@ -146,7 +154,8 @@ def _parse_class(spec: str, U, theory) -> ModelClass:
 
 def _cmd_closure(args) -> int:
     theory = _resolve_theory(args.theory)
-    U = enumerate_models(theory, args.max_size, args.cache)
+    # the terminal model, which a product closure needs, has an element of every sort
+    U = enumerate_models(theory, _max_size(args, 1), args.cache)
     E = _parse_class(args.cls, U, theory)
     rho = get_morphism(args.rho) if args.rho else None
     res = hsp_closure(E, rho)

@@ -1,11 +1,17 @@
 """Backtracking homomorphism search over finite partial structures.
 
-Variables are the source elements in declaration order (sorts as declared,
-carrier order within a sort).  Assigning an element propagates through every
-function entry whose arguments are now fully mapped: the target table must be
-defined there and the entry's value is forced, failing early on clashes.
-Relation tuples are checked as soon as they are fully mapped.  The search is
-deterministic, so the first witness found is stable across runs.
+`iter_homs` is one generator.  Each function entry and relation tuple of the
+source is one check, listed under every source element it mentions, and
+mapping an element runs its checks.  Once a check's arguments are all
+mapped, the target must hold the image tuple: in the relation, or in the
+function's domain, where the entry's value is then forced, failing early on
+a clash.  Nullary entries are checked once, before the first choice.
+
+Order is part of the contract.  Homomorphisms come out in the lexicographic
+order of the source elements (sorts as declared, carrier order within a
+sort), each ranging over the target carrier, or over `restrict`'s tuple for
+that element.  Each sort's map lists elements in the order they were
+mapped, forced values included; `phl hom` prints these maps as they are.
 """
 
 from __future__ import annotations
@@ -21,144 +27,103 @@ from .structures import (
 )
 
 
-class _Searcher:
-    def __init__(self, X: PartialStructure, Y: PartialStructure,
-                 injective: bool = False, restrict: Optional[dict] = None):
-        self.X = X
-        self.Y = Y
-        self.injective = injective
-        self.restrict = restrict or {}
-        sig = X.theory.signature
-        self.sorts = sig.sorts
-        self.order = [(s, a) for s in sig.sorts for a in X.carrier(s)]
-        self.fn_entries = []
-        self.triggers = {key: [] for key in self.order}
-        for f, (argsorts, result) in sig.functions.items():
-            for args, val in X.functions.get(f, {}).items():
-                idx = len(self.fn_entries)
-                self.fn_entries.append((f, argsorts, args, result, val))
-                for s, a in zip(argsorts, args):
-                    self.triggers[(s, a)].append(("fn", idx))
-        self.rel_entries = []
-        for r, argsorts in sig.relations.items():
-            for args in sorted(X.relations.get(r, set()), key=repr):
-                idx = len(self.rel_entries)
-                self.rel_entries.append((r, argsorts, args))
-                for s, a in zip(argsorts, args):
-                    self.triggers[(s, a)].append(("rel", idx))
-        self.maps = {s: {} for s in sig.sorts}
-        self.used = {s: set() for s in sig.sorts}
-        self.trail = []
-
-    def _candidates(self, s, a):
-        cand = self.restrict.get((s, a))
-        if cand is None:
-            cand = self.Y.carrier(s)
-        return cand
-
-    def _assign(self, s, a, v) -> bool:
-        got = self.maps[s].get(a)
-        if got is not None:
-            return got == v
-        if v not in self._candidates(s, a):
-            return False
-        if self.injective:
-            if v in self.used[s]:
-                return False
-            self.used[s].add(v)
-        self.maps[s][a] = v
-        self.trail.append((s, a))
-        return self._propagate(s, a)
-
-    def _propagate(self, s, a) -> bool:
-        for kind, idx in self.triggers[(s, a)]:
-            if kind == "fn":
-                if not self._check_fn(idx):
-                    return False
-            else:
-                if not self._check_rel(idx):
-                    return False
-        return True
-
-    def _check_fn(self, idx) -> bool:
-        f, argsorts, args, result, val = self.fn_entries[idx]
-        mapped = []
-        for es, ea in zip(argsorts, args):
-            mv = self.maps[es].get(ea)
-            if mv is None:
-                return True  # not yet fully mapped
-            mapped.append(mv)
-        yval = self.Y.functions.get(f, {}).get(tuple(mapped))
-        if yval is None:
-            return False
-        return self._assign(result, val, yval)
-
-    def _check_rel(self, idx) -> bool:
-        r, argsorts, args = self.rel_entries[idx]
-        mapped = []
-        for es, ea in zip(argsorts, args):
-            mv = self.maps[es].get(ea)
-            if mv is None:
-                return True
-            mapped.append(mv)
-        return tuple(mapped) in self.Y.relations.get(r, set())
-
-    def _undo(self, mark) -> None:
-        while len(self.trail) > mark:
-            s, a = self.trail.pop()
-            v = self.maps[s].pop(a)
-            if self.injective:
-                self.used[s].discard(v)
-
-    def solutions(self) -> Iterator[Homomorphism]:
-        # nullary entries never fire from an assignment; seed them first
-        mark0 = len(self.trail)
-        ok = True
-        for idx, (f, argsorts, args, result, val) in enumerate(self.fn_entries):
-            if not args:
-                if not self._check_fn(idx):
-                    ok = False
-                    break
-        if ok:
-            yield from self._search(0)
-        self._undo(mark0)
-
-    def _search(self, i) -> Iterator[Homomorphism]:
-        while i < len(self.order) and self.order[i][1] in self.maps[self.order[i][0]]:
-            i += 1
-        if i == len(self.order):
-            yield Homomorphism(self.X, self.Y, {s: dict(m) for s, m in self.maps.items()})
-            return
-        s, a = self.order[i]
-        for v in self._candidates(s, a):
-            mark = len(self.trail)
-            if self._assign(s, a, v):
-                yield from self._search(i + 1)
-            self._undo(mark)
-
-
 def iter_homs(X: PartialStructure, Y: PartialStructure, injective: bool = False,
               restrict: Optional[dict] = None) -> Iterator[Homomorphism]:
     if X.theory.name != Y.theory.name:
-        return iter(())
-    return _Searcher(X, Y, injective, restrict).solutions()
+        return
+    sig = X.theory.signature
+    order = [(s, a) for s in sig.sorts for a in X.carrier(s)]
+    restrict = restrict or {}
+    cands = {key: restrict.get(key, Y.carrier(key[0])) for key in order}
+    # a check: (argument keys, Y's table, (result sort, value)) or (keys, Y's relation, None)
+    checks = {key: [] for key in [None] + order}  # None: the nullary entries
+    entries = [(tuple(zip(argsorts, args)), Y.functions.get(f, {}), (result, val))
+               for f, (argsorts, result) in sig.functions.items()
+               for args, val in X.functions.get(f, {}).items()]
+    entries += [(tuple(zip(argsorts, args)), Y.relations.get(r, set()), None)
+                for r, argsorts in sig.relations.items()
+                for args in X.relations.get(r, ())]
+    for check in entries:
+        for key in set(check[0]) or (None,):
+            checks[key].append(check)
+    image, used, trail = {}, set(), []  # key -> value, (sort, value) taken, keys mapped
+
+    def run(todo) -> bool:
+        for keys, table, out in todo:
+            args = []
+            for key in keys:
+                v = image.get(key)
+                if v is None:
+                    break  # not yet fully mapped
+                args.append(v)
+            else:
+                if out is None:
+                    if tuple(args) not in table:
+                        return False
+                    continue
+                v = table.get(tuple(args))  # None, if undefined, is in no carrier
+                got = image.get(out)
+                if got is None:
+                    if v not in cands[out] or not assign(out, v):
+                        return False
+                elif got != v:
+                    return False
+        return True
+
+    def assign(key, v) -> bool:
+        if injective:
+            if (key[0], v) in used:
+                return False
+            used.add((key[0], v))
+        image[key] = v
+        trail.append(key)
+        return run(checks[key])
+
+    def undo(mark) -> None:
+        while len(trail) > mark:
+            key = trail.pop()
+            v = image.pop(key)
+            if injective:
+                used.discard((key[0], v))
+
+    if not run(checks[None]):
+        return
+    stack = []  # per choice made: (position in order, candidates left, trail mark)
+    i = 0
+    while True:
+        while i < len(order) and order[i] in image:
+            i += 1
+        if i == len(order):
+            maps = {s: {} for s in sig.sorts}
+            for key in trail:
+                maps[key[0]][key[1]] = image[key]
+            yield Homomorphism(X, Y, maps)
+        else:
+            stack.append((i, iter(cands[order[i]]), len(trail)))
+        while stack:  # the next candidate of the deepest open choice
+            i, left, mark = stack[-1]
+            undo(mark)
+            for v in left:
+                if assign(order[i], v):
+                    break
+                undo(mark)
+            else:
+                stack.pop()
+                continue
+            i += 1
+            break
+        else:
+            return
 
 
 def find_hom(X: PartialStructure, Y: PartialStructure, injective: bool = False,
              restrict: Optional[dict] = None) -> Optional[Homomorphism]:
-    for h in iter_homs(X, Y, injective, restrict):
-        return h
-    return None
+    return next(iter_homs(X, Y, injective, restrict), None)
 
 
 def enumerate_homs(X: PartialStructure, Y: PartialStructure, limit: Optional[int] = None,
                    injective: bool = False, restrict: Optional[dict] = None) -> list:
-    out = []
-    for h in iter_homs(X, Y, injective, restrict):
-        out.append(h)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(itertools.islice(iter_homs(X, Y, injective, restrict), limit))
 
 
 def hom_exists(X: PartialStructure, Y: PartialStructure) -> bool:

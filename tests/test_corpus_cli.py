@@ -147,6 +147,12 @@ def test_cli_models_json(capsys):
     assert all(set(m) >= {"carriers", "relations", "name"} for m in doc)
 
 
+def test_cli_models_accepts_max_size_zero(capsys):
+    code, out, _ = run_cli(capsys, "models", "set", "--max-size", "0")
+    assert code == 0
+    assert out.startswith("1 models of set")
+
+
 def test_cli_hom_found_and_missing(tmp_path, capsys):
     from phl.corpus import cycle_endo
     c2, c4 = cycle_endo(2), cycle_endo(4)
@@ -158,6 +164,13 @@ def test_cli_hom_found_and_missing(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, "hom", str(p2), str(p4))
     assert code2 == 1
     assert "no homomorphism" in out2
+    # f(0)=2 forces 2 before the search reaches 1, so 2 is printed first
+    p3 = tmp_path / "e3.json"
+    p3.write_text('{"signature": "end", "carriers": {"el": ["0", "1", "2"]}, '
+                  '"functions": {"f": [["0", "2"], ["1", "1"], ["2", "1"]]}}')
+    code3, out3, _ = run_cli(capsys, "hom", str(p3), str(p3))
+    assert code3 == 0
+    assert out3.splitlines()[1] == "  {'el': {'0': '0', '2': '2', '1': '1'}}"
 
 
 def test_cli_hom_reports_invalid_json(tmp_path, capsys):
@@ -228,20 +241,29 @@ def test_cli_repro_unknown_name(capsys):
     ["acc", "endo-chain", "--horizon", "6"],
     ["acc", "presheaf-chain", "--horizon", "6"],
     ["hom", "{nosig}", "{nosig}"],
+    ["hom", "{one}", "{one}", "--enumerate", "-2"],
+    ["models", "set", "--max-size", "-1"],
+    ["sigma", "set", "--max-size", "-1"],
+    ["closure", "set", "--max-size", "-1", "--class", "all"],
+    ["closure", "set", "--max-size", "0", "--class", "all"],
 ])
 def test_cli_input_errors_end_in_one_stderr_line(argv, tmp_path):
-    nosig = tmp_path / "nosig.json"
+    nosig, one = tmp_path / "nosig.json", tmp_path / "one.json"
     nosig.write_text('{"carriers": {"el": ["0"]}}')
+    one.write_text('{"signature": "set", "carriers": {"el": ["0"]}}')
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phl.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "phl.cli"] + [a.format(nosig=nosig) for a in argv],
+        [sys.executable, "-m", "phl.cli"] + [a.format(nosig=nosig, one=one) for a in argv],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
-    if argv[0] == "hom":
+    if "{nosig}" in argv:
         assert str(nosig) in proc.stderr and '"signature"' in proc.stderr
+    for flag in ("--max-size", "--enumerate"):
+        if flag in argv and int(argv[argv.index(flag) + 1]) < 1:
+            assert proc.stderr.startswith(flag)
 
 
 @pytest.mark.parametrize("argv,line", [

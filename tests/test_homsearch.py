@@ -1,5 +1,6 @@
 import itertools
 
+from phl.closure import enumerate_models
 from phl.corpus import (
     chain_poset,
     cycle_endo,
@@ -22,20 +23,32 @@ from phl.homsearch import (
 from phl.structures import Homomorphism, compose, hom_violation, is_surjective
 
 
-def brute_force_homs(X, Y):
-    """All structure maps checked directly, no propagation or pruning."""
+def brute_force_homs(X, Y, restrict=None):
+    """All structure maps checked directly, no propagation or pruning, in
+    lexicographic order: sorts as declared, carrier order within a sort,
+    each element over the target carrier (or its `restrict` tuple)."""
+    restrict = restrict or {}
     sorts = X.theory.signature.sorts
     per_sort = []
     for s in sorts:
-        dom, cod = X.carrier(s), Y.carrier(s)
-        per_sort.append([dict(zip(dom, choice))
-                         for choice in itertools.product(cod, repeat=len(dom))])
+        dom = X.carrier(s)
+        choices = [restrict.get((s, a), Y.carrier(s)) for a in dom]
+        per_sort.append([dict(zip(dom, choice)) for choice in itertools.product(*choices)])
     out = []
     for combo in itertools.product(*per_sort):
         h = Homomorphism(X, Y, dict(zip(sorts, combo)))
         if hom_violation(h) is None:
             out.append(h)
     return out
+
+
+def in_carrier_order(homs):
+    return [[(s, [h.maps[s][a] for a in h.source.carrier(s)])
+             for s in h.source.theory.signature.sorts] for h in homs]
+
+
+def is_injective(h):
+    return all(len(set(m.values())) == len(m) for m in h.maps.values())
 
 
 def test_hom_counts_match_brute_force():
@@ -47,15 +60,18 @@ def test_hom_counts_match_brute_force():
         (cycle_endo(3), cycle_endo(2)),
         (m_lattice(2), m_lattice(3)),
         (presheaf_L(1), presheaf_L(2)),
+        (presheaf_L(2), presheaf_L(1)),
+        (presheaf_L(2), presheaf_L(2)),
     ]
+    for name, k, step in (("cospan", 2, 5), ("remark-locret-2", 2, 1)):
+        members = enumerate_models(get_theory(name), k).members[::step]
+        cases += [(X, Y) for X in members for Y in members]
     for X, Y in cases:
-        fast = enumerate_homs(X, Y)
         slow = brute_force_homs(X, Y)
-        assert len(fast) == len(slow), (X.name, Y.name)
-        assert {tuple(sorted((s, tuple(sorted(m.items()))) for s, m in h.maps.items()))
-                for h in fast} == \
-               {tuple(sorted((s, tuple(sorted(m.items()))) for s, m in h.maps.items()))
-                for h in slow}
+        assert in_carrier_order(enumerate_homs(X, Y)) == in_carrier_order(slow), \
+            (X.name, Y.name)
+        assert in_carrier_order(enumerate_homs(X, Y, injective=True)) == \
+            in_carrier_order([h for h in slow if is_injective(h)]), (X.name, Y.name)
 
 
 def test_every_returned_map_is_a_homomorphism():
@@ -85,6 +101,12 @@ def test_restrict_prunes_candidates():
         assert h.maps["el"]["0"] == "2"
     # monotone maps from a 2-chain fixing bottom at the top: only constant-2
     assert len(enumerate_homs(X, Y, restrict=pinned)) == 1
+    # element 1 ranges over 2 then 1, against carrier order
+    reordered = {("el", "1"): ("2", "1")}
+    homs = enumerate_homs(X, Y, restrict=reordered)
+    assert in_carrier_order(homs) == \
+        in_carrier_order(brute_force_homs(X, Y, reordered))
+    assert [h.maps["el"]["1"] for h in homs] == ["2", "1", "2", "1", "2"]
 
 
 def test_find_section_of_a_collapse():
@@ -142,6 +164,7 @@ def test_theories_without_exact_rule_report_none():
 def test_enumerate_limit_stops_early():
     homs = enumerate_homs(set_of(3), set_of(3), limit=5)
     assert len(homs) == 5
+    assert enumerate_homs(set_of(3), set_of(3), limit=0) == []
 
 
 def test_backward_maps_out_of_growing_lattices_fail():

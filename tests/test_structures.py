@@ -248,11 +248,10 @@ def test_canonical_key_refuses_over_budget_before_relabeling(monkeypatch):
     raises without trying one, and the budget is read at call time."""
     ten, three = set_of(10), set_of(3)
 
-    class NoRelabeling:
-        def __getattr__(self, name):
-            raise AssertionError(f"itertools.{name} was called")
+    def no_relabeling(X):
+        raise AssertionError("least_relabeling was called")
 
-    monkeypatch.setattr(structures, "itertools", NoRelabeling())
+    monkeypatch.setattr(structures, "least_relabeling", no_relabeling)
     with pytest.raises(BudgetError, match="over 3628800"):
         canonical_key(ten)
     monkeypatch.setattr(structures, "RELABEL_BUDGET", 5)
