@@ -64,7 +64,6 @@ from .structures import (
     pullback,
     reduct,
     save_structure,
-    sequent_valid,
 )
 from .syntax import (
     ParseError,

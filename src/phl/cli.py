@@ -143,12 +143,12 @@ def _parse_class(spec: str, U, theory) -> ModelClass:
         try:
             idx = frozenset(int(p) for p in spec[8:].split(",") if p != "")
         except ValueError:
-            raise SystemExit(f"bad member index in {spec!r} (use members:i,j)") from None
+            raise PhlError(f"bad member index in {spec!r} (use members:i,j)") from None
         for i in idx:
             if not 0 <= i < len(U.members):
-                raise SystemExit(f"member index {i} out of range")
+                raise PhlError(f"member index {i} out of range")
         return ModelClass(U, idx)
-    raise SystemExit(f"bad class spec: {spec!r} "
+    raise PhlError(f"bad class spec: {spec!r} "
                      "(use all, sat:<sequents>, or members:i,j)")
 
 

@@ -30,6 +30,7 @@ from .structures import (
     canonical_key,
     is_closed_mono,
     is_surjective,
+    jointly_closed_mono,
     product,
     reduct_hom,
     sequent_witness,
@@ -43,9 +44,9 @@ from .syntax import (
     Theory,
     TheoryMorphism,
     ValidationError,
+    morphism_obligations,
     print_theory,
     sequent_symbols,
-    translate_sequent,
     validate_morphism,
 )
 
@@ -54,7 +55,8 @@ from .syntax import (
 class ModelUniverse:
     """The members with their canonical keys, and one memo for every relation
     between members that the closure operators ask about.  Members are
-    named after their position on construction."""
+    named after their position on construction; a repeated key raises
+    ValueError."""
     theory: Theory
     k: int
     members: list
@@ -66,6 +68,9 @@ class ModelUniverse:
         for pos, X in enumerate(self.members):
             X.name = f"{self.theory.name}#{pos}"
         self.index = {key: pos for pos, key in enumerate(self.keys)}
+        if len(self.index) != len(self.keys):
+            raise ValueError(f"two members of the universe of '{self.theory.name}' "
+                             f"at k={self.k} share a canonical key")
 
     def __len__(self):
         return len(self.members)
@@ -121,8 +126,10 @@ def theory_hash(theory: Theory) -> str:
     return hashlib.sha256(print_theory(theory).encode()).hexdigest()[:16]
 
 
-def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
-                     visit_budget: int = 40_000_000) -> ModelUniverse:
+VISIT_BUDGET = 40_000_000  # search nodes (cell assignments) one enumeration may visit
+
+
+def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None) -> ModelUniverse:
     """All models with every carrier of size at most k, up to isomorphism.
 
     A depth-first search over cells.  For each choice of carrier sizes it
@@ -149,8 +156,8 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
     Once a cell is set, the axioms whose last symbol it belongs to are
     checked three-valued, with that symbol's later cells open
     (sequent_witness), and the branch is cut when every completion violates
-    one; at the symbol's last cell the check is exact.  `visit_budget`
-    bounds the search nodes (cell assignments).  Members are sorted by size
+    one; at the symbol's last cell the check is exact.  VISIT_BUDGET
+    bounds the search nodes.  Members are sorted by size
     and canonical key, making the universe deterministic.
     """
     if cache_dir is not None:
@@ -169,8 +176,7 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
         named = [name for name, _ in symbols if name in fns or name in rels]
         (axioms_of[named[-1]] if named else ground).append(seq)
 
-    found = {}
-    order = []
+    found = []  # (canonical key, member), one per isomorphism class
     visits = 0
 
     def cells_for(X):
@@ -253,26 +259,23 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
         if c == len(cells):
             if smaller(c):
                 return
-            key = canonical_key(X)
-            if key not in found:
-                found[key] = PartialStructure(
-                    theory,
-                    dict(X.carriers),
-                    {f: dict(t) for f, t in X.functions.items()},
-                    {r: set(t) for r, t in X.relations.items()},
-                )
-                order.append(key)
+            found.append((canonical_key(X), PartialStructure(
+                theory,
+                dict(X.carriers),
+                {f: dict(t) for f, t in X.functions.items()},
+                {r: set(t) for r, t in X.relations.items()},
+            )))
             return
         name, table, args, values, axioms, open_cells = cells[c]
         fn = isinstance(table, dict)
         cut = ends[c + 1]
         for rank, value in enumerate(values):  # the first value leaves the cell absent
             visits += 1
-            if visits > visit_budget:
+            if visits > VISIT_BUDGET:
                 sizes = ", ".join(f"{s}:{len(X.carrier(s))}" for s in sig.sorts)
                 raise BudgetError(
                     f"model enumeration of '{theory.name}' at k={k} stopped after "
-                    f"{visit_budget} search nodes (its budget), with carrier sizes "
+                    f"{VISIT_BUDGET} search nodes (its budget), with carrier sizes "
                     f"{sizes}, while assigning the cell {name}({', '.join(args)})")
             if fn and value is not None:
                 table[args] = value
@@ -297,8 +300,8 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None,
         ends, tried, vec = row_ends(cells), {}, [0] * len(cells)
         assign(0)
 
-    order.sort(key=lambda key: (structure_size(found[key]), key))
-    U = ModelUniverse(theory, k, [found[key] for key in order], order)
+    found.sort(key=lambda row: (structure_size(row[1]), row[0]))
+    U = ModelUniverse(theory, k, [X for _, X in found], [key for key, _ in found])
     if cache_dir is not None:
         save_universe(U, cache_dir)
     return U
@@ -370,9 +373,10 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
         except (ValidationError, AttributeError, TypeError) as exc:
             return _damaged_cache(path, f"row {number} holds no valid structure ({exc})")
         keys.append(row["key"])
-    if len(set(keys)) != len(keys):
+    try:
+        return ModelUniverse(theory, k, members, keys)
+    except ValueError:
         return _damaged_cache(path, "two rows share a key")
-    return ModelUniverse(theory, k, members, keys)
 
 
 def _damaged_cache(path: str, reason: str) -> None:
@@ -473,30 +477,11 @@ def embeds_in_product(U: ModelUniverse, i: int, targets) -> bool:
     """Does member i admit a closed embedding into some product of the
     target members?
 
-    Checked without building the product: the tupling of all homomorphisms
-    from i into the targets is a closed mono iff those homomorphisms jointly
-    separate distinct elements, witness every undefined function entry, and
-    witness every absent relation tuple.  This sees closed subs whose parent
-    product is bigger than the universe bound.
+    It does iff the tupling of all homomorphisms from i into the targets is
+    one (jointly_closed_mono), which sees closed subs whose parent product
+    is bigger than the universe bound.
     """
-    X = U.members[i]
-    sig = U.theory.signature
-    fams = [(h, U.members[j]) for j in sorted(targets) for h in U.homs(i, j)]
-    for s in sig.sorts:
-        car = X.carrier(s)
-        for a, b in itertools.combinations(car, 2):
-            if not any(h.maps[s][a] != h.maps[s][b] for h, _ in fams):
-                return False
-    symbols = [("functions", f, argsorts) for f, (argsorts, _) in sig.functions.items()]
-    symbols += [("relations", r, argsorts) for r, argsorts in sig.relations.items()]
-    for kind, name, argsorts in symbols:
-        held = getattr(X, kind)[name]
-        for args in itertools.product(*(X.carrier(s) for s in argsorts)):
-            if args not in held and not any(
-                    tuple(h.maps[s][a] for s, a in zip(argsorts, args))
-                    not in getattr(A, kind)[name] for h, A in fams):
-                return False
-    return True
+    return jointly_closed_mono(U.members[i], [h for j in sorted(targets) for h in U.homs(i, j)])
 
 
 def product_embedding_closure(mc: ModelClass) -> ModelClass:
@@ -667,7 +652,7 @@ def check_theory_morphism_bounded(m: TheoryMorphism, k: int,
     """Search target models up to size k for one violating a translated
     source axiom.  Silence is evidence up to the bound, not a proof."""
     validate_morphism(m)
-    obligations = [translate_sequent(m, seq) for seq in m.source.axioms]
+    obligations = morphism_obligations(m)
     U = enumerate_models(m.target, k, cache_dir)
     for X in U.members:
         for seq in obligations:

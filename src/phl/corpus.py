@@ -501,7 +501,7 @@ def get_chain(name: str) -> ChainRecipe:
     if name == "endo-chain":
         return ChainRecipe(
             name, get_theory("end"), endo_primes,
-            lambda n: _endo_connector(n),
+            lambda n: _inclusion(endo_primes(n), endo_primes(n + 1)),
             description="sums of prime cycles; longer sums never map back")
     if name == "presheaf-chain":
         return ChainRecipe(
@@ -523,7 +523,7 @@ def get_chain(name: str) -> ChainRecipe:
         return ChainRecipe(
             name, get_theory(f"remark-locret-{k}"),
             lambda n: remark_A(k, n),
-            lambda n: _remark_connector(k, n),
+            lambda n: _inclusion(remark_A(k, n), remark_A(k, n + 1)),
             stable_from=k,
             description="unary stack gaining one defined entry per stage")
     raise KeyError(f"unknown chain '{name}'")
@@ -533,17 +533,6 @@ def _presheaf_stage(n: int) -> PartialStructure:
     if n > 5:
         raise ValidationError("the presheaf chain is truncated at stage 5")
     return presheaf_L(n)
-
-
-def _endo_connector(n: int) -> Homomorphism:
-    X, Y = endo_primes(n), endo_primes(n + 1)
-    maps = {"el": {a: a for a in X.carrier("el")}}
-    return Homomorphism(X, Y, maps, "incl")
-
-
-def _remark_connector(k: int, n: int) -> Homomorphism:
-    X, Y = remark_A(k, n), remark_A(k, n + 1)
-    return Homomorphism(X, Y, {"el": {"0": "0", "a": "a"}}, "incl")
 
 
 def chain_names() -> list:

@@ -25,6 +25,7 @@ from .structures import (
     PartialStructure,
     is_surjective,
 )
+from .syntax import ValidationError
 
 
 def iter_homs(X: PartialStructure, Y: PartialStructure, injective: bool = False,
@@ -123,6 +124,8 @@ def find_hom(X: PartialStructure, Y: PartialStructure, injective: bool = False,
 
 def enumerate_homs(X: PartialStructure, Y: PartialStructure, limit: Optional[int] = None,
                    injective: bool = False, restrict: Optional[dict] = None) -> list:
+    if limit is not None and limit < 0:
+        raise ValidationError(f"limit must be at least 0, got {limit}")
     return list(itertools.islice(iter_homs(X, Y, injective, restrict), limit))
 
 

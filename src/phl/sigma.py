@@ -104,9 +104,13 @@ def is_chain(P: SigmaPoset) -> bool:
     return all((i, j) in P.leq or (j, i) in P.leq for i in range(n) for j in range(n))
 
 
-def poset_iso(P: SigmaPoset, Q: SigmaPoset, budget: int = 200000) -> bool:
+ISO_BUDGET = 200_000  # candidate placements one poset_iso may try
+
+
+def poset_iso(P: SigmaPoset, Q: SigmaPoset) -> bool:
     """Backtracking isomorphism test; candidates are pruned by up/down
-    degree so only same-signature elements are ever matched."""
+    degree so only same-signature elements are ever matched.  Past
+    ISO_BUDGET placements it raises BudgetError."""
     n = len(P)
     if n != len(Q):
         return False
@@ -134,8 +138,8 @@ def poset_iso(P: SigmaPoset, Q: SigmaPoset, budget: int = 200000) -> bool:
             if used[j]:
                 continue
             steps += 1
-            if steps > budget:
-                raise BudgetError(f"poset isomorphism search past {budget} steps")
+            if steps > ISO_BUDGET:
+                raise BudgetError(f"poset isomorphism search past {ISO_BUDGET} steps")
             if any(((a, i) in P.leq) != ((image[a], j) in Q.leq)
                    or ((i, a) in P.leq) != ((j, image[a]) in Q.leq)
                    for a in range(i)):

@@ -318,10 +318,6 @@ def _checker_source(seq: Sequent) -> str:
     return "\n".join(head + body) + "\n"
 
 
-def sequent_valid(X: PartialStructure, seq: Sequent) -> bool:
-    return sequent_witness(X, seq) is None
-
-
 def failing_axiom(X: PartialStructure) -> Optional[tuple]:
     for seq in X.theory.axioms:
         w = sequent_witness(X, seq)
@@ -404,29 +400,41 @@ def is_surjective(h: Homomorphism) -> bool:
     return True
 
 
+def jointly_closed_mono(X: PartialStructure, homs: list) -> bool:
+    """Is the tupling of `homs`, all homomorphisms out of X, a closed mono
+    into the product of their targets?
+
+    That holds iff the homomorphisms jointly separate distinct elements,
+    some homomorphism witnesses each undefined function entry of X (its
+    image entry is undefined in that target), and some homomorphism
+    witnesses each absent relation tuple.  The product is never built, so
+    this decides closed embeddings into products of any size.  With no
+    homomorphisms the product is the one-point total structure.
+    """
+    sig = X.theory.signature
+    for s in sig.sorts:
+        for a, b in itertools.combinations(X.carrier(s), 2):
+            if all(h.maps[s][a] == h.maps[s][b] for h in homs):
+                return False
+    symbols = [("functions", f, argsorts) for f, (argsorts, _) in sig.functions.items()]
+    symbols += [("relations", r, argsorts) for r, argsorts in sig.relations.items()]
+    for kind, name, argsorts in symbols:
+        held = getattr(X, kind).get(name, ())
+        for args in itertools.product(*(X.carrier(s) for s in argsorts)):
+            if args not in held and all(
+                    tuple(h.maps[s][a] for s, a in zip(argsorts, args))
+                    in getattr(h.target, kind).get(name, ()) for h in homs):
+                return False
+    return True
+
+
 def is_closed_mono(h: Homomorphism) -> bool:
     """Injective homomorphism reflecting definedness and relations.
 
     Whenever a function is defined at the image tuple or the image tuple is
     related in the target, the same must already hold in the source.
     """
-    if not is_injective(h):
-        return False
-    X, Y = h.source, h.target
-    sig = X.theory.signature
-    for f, (argsorts, _) in sig.functions.items():
-        table = X.functions.get(f, {})
-        for args in itertools.product(*(X.carrier(s) for s in argsorts)):
-            mapped = tuple(h.maps[s][a] for s, a in zip(argsorts, args))
-            if mapped in Y.functions.get(f, {}) and args not in table:
-                return False
-    for r, argsorts in sig.relations.items():
-        held = X.relations.get(r, set())
-        for args in itertools.product(*(X.carrier(s) for s in argsorts)):
-            mapped = tuple(h.maps[s][a] for s, a in zip(argsorts, args))
-            if mapped in Y.relations.get(r, set()) and args not in held:
-                return False
-    return True
+    return jointly_closed_mono(h.source, [h])
 
 
 def inverse_hom(h: Homomorphism) -> Optional[Homomorphism]:
@@ -581,38 +589,24 @@ def projection(P: PartialStructure, factors: list, i: int) -> Homomorphism:
 
 
 def pullback(p: Homomorphism, q: Homomorphism) -> tuple:
-    """Pullback of p: A -> C and q: B -> C with its two projections."""
+    """Pullback of p: A -> C and q: B -> C with its two projections: the
+    substructure of A x B on the pairs where p and q agree."""
     if p.target is not q.target:
         raise ValidationError("pullback needs a shared codomain")
     A, B = p.source, q.source
-    theory = A.theory
-    sig = theory.signature
-    carriers = {
-        s: tuple((a, b) for a in A.carrier(s) for b in B.carrier(s)
-                 if p.maps[s][a] == q.maps[s][b])
-        for s in sig.sorts
-    }
-    functions = {}
-    for f, (argsorts, result) in sig.functions.items():
-        table = {}
-        for args in itertools.product(*(carriers[s] for s in argsorts)):
-            va = A.functions.get(f, {}).get(tuple(a for a, _ in args))
-            vb = B.functions.get(f, {}).get(tuple(b for _, b in args))
-            if va is not None and vb is not None:
-                table[args] = (va, vb)
-        functions[f] = table
-    relations = {}
-    for r, argsorts in sig.relations.items():
-        relations[r] = {
-            args
-            for args in itertools.product(*(carriers[s] for s in argsorts))
-            if tuple(a for a, _ in args) in A.relations.get(r, set())
-            and tuple(b for _, b in args) in B.relations.get(r, set())
-        }
-    P = PartialStructure(theory, carriers, functions, relations, "pullback")
-    p1 = Homomorphism(P, A, {s: {x: x[0] for x in P.carrier(s)} for s in sig.sorts})
-    p2 = Homomorphism(P, B, {s: {x: x[1] for x in P.carrier(s)} for s in sig.sorts})
-    return P, p1, p2
+    sig = A.theory.signature
+    AB = product(A.theory, [A, B])
+
+    def agree(argsorts, args) -> bool:
+        return all(p.maps[s][a] == q.maps[s][b] for s, (a, b) in zip(argsorts, args))
+
+    carriers = {s: tuple(x for x in AB.carrier(s) if agree((s,), (x,))) for s in sig.sorts}
+    functions = {f: {args: v for args, v in AB.functions[f].items() if agree(argsorts, args)}
+                 for f, (argsorts, _) in sig.functions.items()}
+    relations = {r: {args for args in AB.relations[r] if agree(argsorts, args)}
+                 for r, argsorts in sig.relations.items()}
+    P = PartialStructure(A.theory, carriers, functions, relations, "pullback")
+    return P, projection(P, [A, B], 0), projection(P, [A, B], 1)
 
 
 def reduct(m: TheoryMorphism, Y: PartialStructure, name: str = "") -> PartialStructure:

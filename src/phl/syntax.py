@@ -358,20 +358,28 @@ def validate_morphism(m: TheoryMorphism) -> None:
             raise ValidationError(f"morphism '{m.name}' breaks arity of '{r}'")
 
 
+def _rename(node, fn_map: dict, rel_map: dict):
+    """The term or formula with every symbol renamed, or None when a symbol
+    has no image."""
+    if isinstance(node, (Var, Top)):
+        return node
+    if isinstance(node, (And, Eq)):
+        parts = (_rename(node.lhs, fn_map, rel_map), _rename(node.rhs, fn_map, rel_map))
+    else:
+        image = fn_map.get(node.func) if isinstance(node, App) else rel_map.get(node.rel)
+        args = tuple(_rename(a, fn_map, rel_map) for a in node.args)
+        parts = (image, None if None in args else args)
+    return None if None in parts else type(node)(*parts)
+
+
 def translate_term(m: TheoryMorphism, term: Term) -> Term:
-    if isinstance(term, Var):
-        return term
-    return App(m.fn_map[term.func], tuple(translate_term(m, a) for a in term.args))
+    return _rename(term, m.fn_map, m.rel_map)
 
 
 def translate_formula(m: TheoryMorphism, formula: Formula) -> Formula:
-    if isinstance(formula, Top):
-        return formula
-    if isinstance(formula, And):
-        return And(translate_formula(m, formula.lhs), translate_formula(m, formula.rhs))
-    if isinstance(formula, RelAtom):
-        return RelAtom(m.rel_map[formula.rel], tuple(translate_term(m, a) for a in formula.args))
-    return Eq(translate_term(m, formula.lhs), translate_term(m, formula.rhs))
+    """None when m misses a symbol of the formula; validate_morphism rules
+    that out for formulas over m's source signature."""
+    return _rename(formula, m.fn_map, m.rel_map)
 
 
 def translate_sequent(m: TheoryMorphism, seq: Sequent) -> Sequent:
@@ -425,39 +433,14 @@ def is_base_formula(formula: Formula, base: Signature) -> bool:
 
 
 def reconstruct_source_formula(m: TheoryMorphism, formula: Formula) -> Optional[Formula]:
-    """Preimage of a formula under symbol-wise translation, if one exists."""
-    inv_fn = {}
+    """Preimage of a formula under symbol-wise translation, if one exists;
+    a symbol with several preimages takes the first one declared."""
+    inv_fn, inv_rel = {}, {}
     for f, g in m.fn_map.items():
         inv_fn.setdefault(g, f)
-    inv_rel = {}
     for r, g in m.rel_map.items():
         inv_rel.setdefault(g, r)
-
-    def back_term(t: Term) -> Optional[Term]:
-        if isinstance(t, Var):
-            return t
-        if t.func not in inv_fn:
-            return None
-        args = [back_term(a) for a in t.args]
-        if any(a is None for a in args):
-            return None
-        return App(inv_fn[t.func], tuple(args))
-
-    if isinstance(formula, Top):
-        return formula
-    if isinstance(formula, And):
-        l = reconstruct_source_formula(m, formula.lhs)
-        r = reconstruct_source_formula(m, formula.rhs)
-        return And(l, r) if l is not None and r is not None else None
-    if isinstance(formula, RelAtom):
-        if formula.rel not in inv_rel:
-            return None
-        args = [back_term(a) for a in formula.args]
-        if any(a is None for a in args):
-            return None
-        return RelAtom(inv_rel[formula.rel], tuple(args))
-    l, r = back_term(formula.lhs), back_term(formula.rhs)
-    return Eq(l, r) if l is not None and r is not None else None
+    return _rename(formula, inv_fn, inv_rel)
 
 
 def check_relative_judgment(rt: RelativeTheory, seq: Sequent,

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 
@@ -24,17 +25,20 @@ from phl.closure import (
     surjective_image_closure,
     universe_cache_path,
     ModelClass,
+    ModelUniverse,
 )
 from phl.corpus import get_morphism, get_theory, theory_names
 from phl.homsearch import enumerate_homs, iter_homs, passes_probes
 from phl.parser import parse_sequents
 from phl.structures import (
+    Homomorphism,
     PartialStructure,
     canonical_key,
+    hom_violation,
     interpreted_witness,
-    is_closed_mono,
     is_isomorphic,
     is_surjective,
+    product,
     reduct,
     reduct_hom,
     structure_size,
@@ -184,9 +188,10 @@ def test_enumeration_agrees_with_naive_oracle_everywhere():
                 (R.carriers, R.functions, R.relations), (name, X.name)
 
 
-def test_enumeration_budget_error_says_where_it_stopped():
+def test_enumeration_budget_error_says_where_it_stopped(monkeypatch):
+    monkeypatch.setattr(closure, "VISIT_BUDGET", 10)
     with pytest.raises(BudgetError) as err:
-        enumerate_models(get_theory("pos"), 3, visit_budget=10)
+        enumerate_models(get_theory("pos"), 3)
     message = str(err.value)
     assert message.startswith("model enumeration of 'pos' at k=3")
     assert "stopped after 10 search nodes" in message
@@ -305,6 +310,12 @@ def test_universe_cache_truncated_line_is_a_miss(tmp_path, capsys):
 def test_universe_cache_repeated_key_is_a_miss(tmp_path, capsys):
     err = _damage_and_reload(tmp_path, capsys, lambda lines: "".join(lines[:-1] + lines[-2:-1]))
     assert "two rows share a key" in err
+
+
+def test_universe_with_a_repeated_key_raises():
+    U = enumerate_models(get_theory("set"), 2)
+    with pytest.raises(ValueError, match="universe of 'set' at k=2 share a canonical key"):
+        ModelUniverse(U.theory, U.k, U.members + U.members[-1:], U.keys + U.keys[-1:])
 
 
 def _rewrite_row(row, change):
@@ -448,6 +459,48 @@ def test_closure_hloc_adds_quotients_not_empty():
     assert got == [1, 2]  # the collapse is a retraction; nothing maps to empty
 
 
+def tupling_is_closed_mono(X, homs):
+    """Build the product of the targets of `homs` (homomorphisms out of X)
+    and the tupling into it, then test that one map tuple by tuple:
+    injective, and every function entry or relation tuple of X whose image
+    is present in the product is present in X."""
+    sig = X.theory.signature
+    P = product(X.theory, [h.target for h in homs])
+    maps = {s: {a: tuple(h.maps[s][a] for h in homs) if homs else "pt" for a in X.carrier(s)}
+            for s in sig.sorts}
+    t = Homomorphism(X, P, maps)
+    assert hom_violation(t) is None
+    if any(len(set(maps[s].values())) != len(X.carrier(s)) for s in sig.sorts):
+        return False
+    for kind, argsorts_of in (("functions", {f: a for f, (a, _) in sig.functions.items()}),
+                              ("relations", sig.relations)):
+        for name, argsorts in argsorts_of.items():
+            for args in itertools.product(*(X.carrier(s) for s in argsorts)):
+                image = tuple(maps[s][a] for s, a in zip(argsorts, args))
+                if image in getattr(P, kind)[name] and args not in getattr(X, kind)[name]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["urel", "pos"])
+def test_embeds_in_product_matches_the_built_product(name):
+    """Every member against every set of at most two target members whose
+    product over all homomorphisms has at most 64 elements, the empty set
+    included."""
+    U = enumerate_models(get_theory(name), 2)
+    n, sorts = len(U.members), U.theory.signature.sorts
+    target_sets = [()] + [(j,) for j in range(n)] + list(itertools.combinations(range(n), 2))
+    verdicts = []
+    for i, X in enumerate(U.members):
+        for targets in target_sets:
+            homs = [h for j in targets for h in enumerate_homs(X, U.members[j])]
+            if sum(math.prod(len(h.target.carrier(s)) for h in homs) for s in sorts) > 64:
+                continue
+            verdicts.append(embeds_in_product(U, i, targets))
+            assert verdicts[-1] == tupling_is_closed_mono(X, homs), (name, i, targets)
+    assert len(verdicts) > 2 * n and True in verdicts and False in verdicts
+
+
 def test_embeds_in_product_sees_overbound_parents():
     """A closed sub of a product can be found even when the product itself
     exceeds the universe bound."""
@@ -568,7 +621,7 @@ def _reference_edges(U, rho=None):
     see = (lambda p: p) if rho is None else (lambda p: reduct_hom(rho, p))
     return {
         "Sc": _edge_matrix(U, lambda C, M: any(
-            is_closed_mono(h) for h in iter_homs(C, M, injective=True))),
+            tupling_is_closed_mono(C, [h]) for h in iter_homs(C, M, injective=True))),
         "Hloc": _edge_matrix(U, lambda C, M: any(
             passes_probes(see(p), probes) for p in enumerate_homs(M, C))),
         "surj": _edge_matrix(U, lambda C, M: any(

@@ -217,6 +217,18 @@ def test_cli_closure_grows_the_missed_class(capsys):
     assert "fixpoint" in out
 
 
+@pytest.mark.parametrize("spec,line", [
+    ("members:x", "bad member index in 'members:x' (use members:i,j)"),
+    ("members:0,9", "member index 9 out of range"),
+    ("some", "bad class spec: 'some' (use all, sat:<sequents>, or members:i,j)"),
+])
+def test_cli_bad_class_spec_returns_1_in_process(capsys, spec, line):
+    code, out, err = run_cli(capsys, "closure", "pos", "--max-size", "2", "--class", spec)
+    assert code == 1
+    assert out == ""
+    assert err == line + "\n"
+
+
 def test_cli_acc_witness(capsys):
     code, out, _ = run_cli(capsys, "acc", "lattice-chain", "--horizon", "4")
     assert code == 0

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from phl.closure import enumerate_models
 from phl.corpus import (
     chain_poset,
@@ -21,6 +23,7 @@ from phl.homsearch import (
     local_retraction_check,
 )
 from phl.structures import Homomorphism, compose, hom_violation, is_surjective
+from phl.syntax import ValidationError
 
 
 def brute_force_homs(X, Y, restrict=None):
@@ -165,6 +168,11 @@ def test_enumerate_limit_stops_early():
     homs = enumerate_homs(set_of(3), set_of(3), limit=5)
     assert len(homs) == 5
     assert enumerate_homs(set_of(3), set_of(3), limit=0) == []
+
+
+def test_enumerate_negative_limit_names_the_parameter():
+    with pytest.raises(ValidationError, match="^limit must be at least 0, got -1$"):
+        enumerate_homs(set_of(3), set_of(3), limit=-1)
 
 
 def test_backward_maps_out_of_growing_lattices_fail():

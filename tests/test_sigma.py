@@ -91,10 +91,11 @@ def test_is_chain_and_poset_iso():
     assert not poset_iso(n_poset, two_plus_two)
 
 
-def test_poset_iso_budget_raises():
+def test_poset_iso_budget_raises(monkeypatch):
+    monkeypatch.setattr(sigma, "ISO_BUDGET", 3)
     big = condense_sigma(quiver("abcdefghij", set()))
-    with pytest.raises(BudgetError):
-        poset_iso(big, big, budget=3)
+    with pytest.raises(BudgetError, match="past 3 steps"):
+        poset_iso(big, big)
 
 
 def test_lower_sets_counts():

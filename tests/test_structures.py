@@ -4,6 +4,7 @@ import random
 import pytest
 
 from phl import structures
+from phl.closure import enumerate_models
 from phl.corpus import (
     antichain_poset,
     chain_poset,
@@ -154,6 +155,44 @@ def test_pullback_of_disjoint_images_is_empty():
     U, injections = disjoint_union(th, [set_of(2), set_of(3)])
     P, _, _ = pullback(injections[0], injections[1])
     assert len(P.carrier("el")) == 0
+
+
+@pytest.mark.parametrize("name", ["urel", "pos", "idem"])
+def test_pullback_matches_a_direct_construction(name):
+    """Every pair of homomorphisms into a shared member of the universe at
+    k=2: carriers in order, tables with their entry order, relations and the
+    two leg maps, built pair by pair here."""
+    U = enumerate_models(get_theory(name), 2)
+    sig = U.theory.signature
+    pairs = 0
+    for C in U.members:
+        into = [h for A in U.members for h in enumerate_homs(A, C)]
+        for p, q in itertools.product(into, repeat=2):
+            A, B = p.source, q.source
+            carriers = {s: tuple((a, b) for a in A.carrier(s) for b in B.carrier(s)
+                                 if p.maps[s][a] == q.maps[s][b]) for s in sig.sorts}
+            functions = {}
+            for f, (argsorts, _) in sig.functions.items():
+                functions[f] = {}
+                for args in itertools.product(*(carriers[s] for s in argsorts)):
+                    left = A.functions[f].get(tuple(a for a, _ in args))
+                    right = B.functions[f].get(tuple(b for _, b in args))
+                    if left is not None and right is not None:
+                        functions[f][args] = (left, right)
+            relations = {r: {args for args in itertools.product(*(carriers[s] for s in argsorts))
+                             if tuple(a for a, _ in args) in A.relations[r]
+                             and tuple(b for _, b in args) in B.relations[r]}
+                         for r, argsorts in sig.relations.items()}
+            P, p1, p2 = pullback(p, q)
+            assert P.carriers == carriers, (name, p.maps, q.maps)
+            assert {f: list(t.items()) for f, t in P.functions.items()} == \
+                {f: list(t.items()) for f, t in functions.items()}
+            assert P.relations == relations
+            assert p1.source is P is p2.source and p1.target is A and p2.target is B
+            assert p1.maps == {s: {(a, b): a for a, b in carriers[s]} for s in sig.sorts}
+            assert p2.maps == {s: {(a, b): b for a, b in carriers[s]} for s in sig.sorts}
+            pairs += 1
+    assert pairs > 20
 
 
 def test_closed_monos_compose_and_pull_back():

@@ -1,6 +1,6 @@
 import pytest
 
-from phl.corpus import get_morphism, get_theory, ordered_semiring
+from phl.corpus import get_morphism, get_theory, morphism_names, ordered_semiring
 from phl.parser import parse_sequents, parse_theory
 from phl.syntax import (
     And,
@@ -9,6 +9,7 @@ from phl.syntax import (
     RelAtom,
     Sequent,
     TOP,
+    TheoryMorphism,
     ValidationError,
     Var,
     and_parts,
@@ -22,6 +23,7 @@ from phl.syntax import (
     print_formula,
     print_sequent,
     print_theory,
+    reconstruct_source_formula,
     translate_formula,
     translate_sequent,
     validate_morphism,
@@ -145,3 +147,50 @@ def test_compiled_relative_theory_validates():
     assert len(th.axioms) == len(rt.base.axioms) + 2 * len(rt.ops) + len(rt.judgments)
     text = print_theory(th)
     assert print_theory(parse_theory(text)) == text
+
+
+def test_reconstruct_inverts_translate_on_corpus_axioms():
+    """Reading a translated premise or conclusion back gives the source
+    formula; a target symbol outside the image, even deep in a term, has no
+    preimage."""
+    outside = 0
+    for name in morphism_names():
+        m = get_morphism(name)
+        for seq in m.source.axioms:
+            for phi in (seq.premise, seq.conclusion):
+                assert reconstruct_source_formula(m, translate_formula(m, phi)) == phi, name
+        tgt = m.target.signature
+        for f, (argsorts, _) in tgt.functions.items():
+            if f not in m.fn_map.values():
+                term = App(f, tuple(Var(f"x{i}") for i in range(len(argsorts))))
+                assert reconstruct_source_formula(m, And(TOP, Eq(Var("y"), term))) is None
+                outside += 1
+        for r, argsorts in tgt.relations.items():
+            if r not in m.rel_map.values():
+                atom = RelAtom(r, tuple(Var(f"x{i}") for i in range(len(argsorts))))
+                assert reconstruct_source_formula(m, And(atom, TOP)) is None, name
+                outside += 1
+    assert outside == 4  # mul and inv of group, leq of pos, mark of urel
+    m, e = get_morphism("pointed-to-group"), App("e", ())
+    assert reconstruct_source_formula(m, Eq(e, e)) == Eq(App("pt", ()), App("pt", ()))
+    assert reconstruct_source_formula(m, Eq(e, App("inv", (e,)))) is None
+
+
+def test_reconstruct_needs_a_preimage_for_every_nested_symbol():
+    """u0 is the image of f and u1 of nothing, so f(f(x)) reads back from
+    u0(u0(x)) but nothing reads back from u0(u1(x)); with two preimages the
+    first declared one wins."""
+    idem, stack = get_theory("idem"), get_theory("remark-locret-2")
+    x = Var("x")
+    into = TheoryMorphism("f-to-u0", idem, stack, {"el": "el"}, {"f": "u0"}, {})
+    validate_morphism(into)
+
+    def ap(g, t):
+        return App(g, (t,))
+
+    assert reconstruct_source_formula(into, Eq(ap("u0", ap("u0", x)), x)) == \
+        Eq(ap("f", ap("f", x)), x)
+    assert reconstruct_source_formula(into, Eq(ap("u0", ap("u1", x)), x)) is None
+    assert reconstruct_source_formula(into, Eq(x, ap("u0", ap("u1", x)))) is None
+    onto = TheoryMorphism("u-to-f", stack, idem, {"el": "el"}, {"u1": "f", "u0": "f"}, {})
+    assert reconstruct_source_formula(onto, Eq(ap("f", x), x)) == Eq(ap("u1", x), x)
