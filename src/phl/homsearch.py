@@ -1,17 +1,29 @@
 """Backtracking homomorphism search over finite partial structures.
 
-`iter_homs` is one generator.  Each function entry and relation tuple of the
-source is one check, listed under every source element it mentions, and
-mapping an element runs its checks.  Once a check's arguments are all
-mapped, the target must hold the image tuple: in the relation, or in the
-function's domain, where the entry's value is then forced, failing early on
-a clash.  Nullary entries are checked once, before the first choice.
+Two searches with two contracts.
 
-Order is part of the contract.  Homomorphisms come out in the lexicographic
-order of the source elements (sorts as declared, carrier order within a
-sort), each ranging over the target carrier, or over `restrict`'s tuple for
-that element.  Each sort's map lists elements in the order they were
-mapped, forced values included; `phl hom` prints these maps as they are.
+`iter_homs` enumerates, and its order is part of the contract.  It is one
+generator.  Each function entry and relation tuple of the source is one
+check, listed under every source element it mentions, and mapping an
+element runs its checks.  Once a check's arguments are all mapped, the
+target must hold the image tuple: in the relation, or in the function's
+domain, where the entry's value is then forced, failing early on a clash.
+Nullary entries are checked once, before the first choice.  Homomorphisms
+come out in the lexicographic order of the source elements (sorts as
+declared, carrier order within a sort), each ranging over the target
+carrier, or over `restrict`'s tuple for that element.  Each sort's map lists
+elements in the order they were mapped, forced values included; `phl hom`
+prints these maps as they are.
+
+`hom_exists` and `HomPlan.maps_to` decide existence only and give no
+witness.  Existence is a constraint satisfaction problem (Feder & Vardi
+1998): one variable per source element, one constraint per function entry,
+read as the tuple (args..., value) of the function's graph, and per
+relation tuple.  Domains are int bitsets over the target carrier.  Every
+assignment forward-checks (Haralick & Elliott 1980) each constraint left
+with one free variable, and the variable with the smallest domain goes
+next, so forced values go first.  A homomorphism exists iff each connected
+component of the source maps, so each component is searched on its own.
 """
 
 from __future__ import annotations
@@ -130,7 +142,219 @@ def enumerate_homs(X: PartialStructure, Y: PartialStructure, limit: Optional[int
 
 
 def hom_exists(X: PartialStructure, Y: PartialStructure) -> bool:
-    return find_hom(X, Y) is not None
+    """Whether some homomorphism X -> Y exists; no witness.  Callers asking
+    about many pairs keep one HomPlan per structure instead."""
+    return HomPlan(X).maps_to(HomPlan(Y))
+
+
+class HomPlan:
+    """One structure's tables for existence search, each built on first use
+    and kept, so a family or a chain builds them once per member.
+
+    Elements are numbered by their position in their sort's carrier, and
+    each symbol's tuples are kept as such positions.  As a source the plan
+    holds its variables (one per element), its constraints grouped by
+    symbol and argument pattern, and the connected components of its
+    constraint graph.  As a target it holds, per symbol and argument
+    pattern, the support of each position as int bitsets, built only for
+    the patterns some source asks for.  The structure must not change
+    while its plan is in use.
+    """
+
+    def __init__(self, X: PartialStructure):
+        self.structure = X
+        sig = X.theory.signature
+        self._index = {s: {a: i for i, a in enumerate(X.carrier(s))} for s in sig.sorts}
+        self._rows = {}  # (symbol, is_function) -> _encoded's pair
+        self._source = None
+        self._supports = {}  # (symbol, is_function, pattern) -> _support's triple
+
+    def _encoded(self, name: str, is_function: bool) -> tuple:
+        """(sorts of the positions, tuples as carrier positions) of one
+        symbol; a function gives the tuples (args..., value) of its graph."""
+        got = self._rows.get((name, is_function))
+        if got is None:
+            X = self.structure
+            sig = X.theory.signature
+            if is_function:
+                argsorts, result = sig.functions[name]
+                keysorts = argsorts + (result,)
+                tuples = [args + (val,) for args, val in X.functions.get(name, {}).items()]
+            else:
+                keysorts, tuples = sig.relations[name], X.relations.get(name, ())
+            index = list(map(self._index.__getitem__, keysorts))
+            got = self._rows[name, is_function] = (
+                keysorts, [tuple(map(dict.__getitem__, index, t)) for t in tuples])
+        return got
+
+    def _source_tables(self) -> tuple:
+        """(variable sorts, constraint keys, scopes per key, links,
+        components).  A key is (symbol, is_function, pattern): the pattern
+        numbers each position by the first position of its variable among
+        the distinct ones, or is None when the variables are all distinct.
+        A scope is the tuple of distinct variables of one entry or tuple.
+        links[v] lists (scope, key number) for the scopes of two or more
+        variables that hold v.  Components of one variable are left out:
+        the initial domains settle them."""
+        sig = self.structure.theory.signature
+        sorts, offset = [], {}
+        for s in sig.sorts:
+            offset[s] = len(sorts)
+            sorts += [s] * len(self._index[s])
+        number, scopes, links = {}, [], [[] for _ in sorts]
+        symbols = [(f, True) for f in sig.functions] + [(r, False) for r in sig.relations]
+        for name, is_function in symbols:
+            keysorts, rows = self._encoded(name, is_function)
+            shift = list(map(offset.__getitem__, keysorts))
+            for row in rows:
+                vs = tuple(map(int.__add__, shift, row))
+                if len(set(vs)) == len(vs):
+                    scope, pattern = vs, None
+                else:
+                    scope = tuple(dict.fromkeys(vs))
+                    pattern = tuple(map(scope.index, vs))
+                n = number.setdefault((name, is_function, pattern), len(scopes))
+                if n == len(scopes):
+                    scopes.append([])
+                scopes[n].append(scope)
+                if len(scope) > 1:
+                    link = (scope, n)
+                    for v in scope:
+                        links[v].append(link)
+        comps, seen = [], set()
+        for v, held in enumerate(links):
+            if held and v not in seen:
+                seen.add(v)
+                comp, todo = [], [v]
+                while todo:
+                    u = todo.pop()
+                    comp.append(u)
+                    for scope, _ in links[u]:
+                        for w in scope:
+                            if w not in seen:
+                                seen.add(w)
+                                todo.append(w)
+                comps.append(comp)
+        self._source = (sorts, list(number), scopes, links, comps)
+        return self._source
+
+    def _support(self, key: tuple) -> tuple:
+        """(projections, supports, inhabited) of one symbol under one
+        argument pattern: projections[k] is the bitset of values position k
+        takes in the target tuples that fit the pattern; supports[k] maps
+        the values of the other positions to the bitset of values position k
+        may take; inhabited says whether any tuple fits."""
+        name, is_function, pattern = key
+        keysorts, rows = self._encoded(name, is_function)
+        width = len(keysorts)
+        if pattern is not None:  # keep the tuples that repeat as the pattern does
+            first = [pattern.index(k) for k in range(max(pattern) + 1)]
+            rows = [tuple(map(t.__getitem__, first)) for t in rows
+                    if all(t[i] == t[first[k]] for i, k in enumerate(pattern))]
+            width = len(first)
+        projections, supports = [], []
+        for k in range(width):
+            proj, sup = 0, {}
+            for row in rows:
+                rest = row[:k] + row[k + 1:]
+                bit = 1 << row[k]
+                sup[rest] = sup.get(rest, 0) | bit
+                proj |= bit
+            projections.append(proj)
+            supports.append(sup)
+        got = self._supports[key] = (projections, supports, bool(rows))
+        return got
+
+    def maps_to(self, other: "HomPlan") -> bool:
+        """Whether some homomorphism runs from this plan's structure to
+        other's."""
+        if self.structure.theory.name != other.structure.theory.name:
+            return False
+        sorts, keys, scopes, links, comps = self._source or self._source_tables()
+        index = other._index
+        dom = [(1 << len(index[s])) - 1 for s in sorts]
+        supports = []  # per key number
+        known = other._supports
+        for key, key_scopes in zip(keys, scopes):
+            projections, sup, inhabited = known.get(key) or other._support(key)
+            if not inhabited:
+                return False
+            supports.append(sup)
+            for scope in key_scopes:
+                for k, v in enumerate(scope):
+                    dom[v] &= projections[k]
+        if not all(dom):
+            return False
+        value = [None] * len(sorts)
+        for comp in comps:
+            if not _component_maps(comp, dom, value, links, supports):
+                return False
+        return True
+
+
+def _component_maps(comp: list, dom: list, value: list, links: list,
+                    supports: list) -> bool:
+    """Backtracking with forward checking over one component's variables.
+    Narrows `dom` in place, restoring it on every retreat, and leaves the
+    component's values in `value` when it maps."""
+    free = set(comp)
+    trail = []  # (variable, domain before a narrowing)
+    stack = []  # per variable chosen: [variable, values left, trail mark]
+    while free:
+        v, least = None, 0
+        for u in free:  # the smallest domain; a singleton ends the look
+            size = dom[u].bit_count()
+            if v is None or size < least:
+                v, least = u, size
+                if size == 1:
+                    break
+        free.remove(v)
+        stack.append([v, dom[v], len(trail)])
+        while stack:  # the next value of the deepest open choice
+            top = stack[-1]
+            v, left, mark = top
+            while left:
+                while len(trail) > mark:
+                    u, old = trail.pop()
+                    dom[u] = old
+                bit = left & -left
+                left ^= bit
+                value[v] = bit.bit_length() - 1
+                for scope, n in links[v]:  # forward checking
+                    rest, at = [], -1
+                    for k, u in enumerate(scope):
+                        x = value[u]
+                        if x is not None:
+                            rest.append(x)
+                        elif at < 0:
+                            at = k
+                        else:
+                            break  # two variables still free
+                    else:
+                        if at < 0:
+                            continue  # the last value came from a checked domain
+                        u = scope[at]
+                        narrowed = dom[u] & supports[n][at].get(tuple(rest), 0)
+                        if not narrowed:
+                            break
+                        if narrowed != dom[u]:
+                            trail.append((u, dom[u]))
+                            dom[u] = narrowed
+                else:
+                    top[1] = left
+                    break
+            else:
+                while len(trail) > mark:
+                    u, old = trail.pop()
+                    dom[u] = old
+                value[v] = None
+                free.add(v)
+                stack.pop()
+                continue
+            break
+        else:
+            return False
+    return True
 
 
 def _fibers(p: Homomorphism) -> dict:

@@ -21,7 +21,7 @@ from .groups import (
     subconjugate,
     subgroup_label,
 )
-from .homsearch import hom_exists
+from .homsearch import HomPlan
 from .structures import ChainRecipe
 from .syntax import BudgetError, ValidationError
 
@@ -33,17 +33,14 @@ class HomQuiver:
 
 
 def build_hom_quiver(structures: list, labels: Optional[list] = None) -> HomQuiver:
-    n = len(structures)
+    """Edges by existence search over one plan per structure; every vertex
+    has its loop."""
     labels = list(labels) if labels is not None else [
         X.name or f"m{i}" for i, X in enumerate(structures)
     ]
-    edges = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                edges[i][j] = True
-            else:
-                edges[i][j] = hom_exists(structures[i], structures[j])
+    plans = [HomPlan(X) for X in structures]
+    edges = [[i == j or P.maps_to(Q) for j, Q in enumerate(plans)]
+             for i, P in enumerate(plans)]
     return HomQuiver(labels, edges)
 
 
@@ -260,15 +257,16 @@ def acc_probe(chain: ChainRecipe, horizon: int) -> AccResult:
     so failing that the verdict is no-stabilization with the unconnected
     pair of the last two stages.  Hom existence is a preorder, so a tail is
     mutually connected when each consecutive pair maps both ways: walking
-    down from the horizon takes at most 2 * horizon searches.
+    down from the horizon takes at most 2 * horizon searches, over one plan
+    per stage.
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    upper = chain.structure_at(horizon)
+    upper = HomPlan(chain.structure_at(horizon))
     for n in range(horizon, 0, -1):
-        lower = chain.structure_at(n - 1)
-        forward = hom_exists(lower, upper)
-        if not (forward and hom_exists(upper, lower)):
+        lower = HomPlan(chain.structure_at(n - 1))
+        forward = lower.maps_to(upper)
+        if not (forward and upper.maps_to(lower)):
             if n < horizon:
                 return AccResult(True, n, horizon, None)
             return AccResult(False, None, horizon, (n, n - 1) if forward else (n - 1, n))

@@ -385,14 +385,6 @@ def is_homomorphism(h: Homomorphism) -> bool:
     return hom_violation(h) is None
 
 
-def is_injective(h: Homomorphism) -> bool:
-    for s in h.source.theory.signature.sorts:
-        vals = list(h.maps[s].values())
-        if len(set(vals)) != len(vals):
-            return False
-    return True
-
-
 def is_surjective(h: Homomorphism) -> bool:
     for s in h.source.theory.signature.sorts:
         if set(h.maps[s].values()) != set(h.target.carrier(s)):

@@ -372,10 +372,6 @@ def _rename(node, fn_map: dict, rel_map: dict):
     return None if None in parts else type(node)(*parts)
 
 
-def translate_term(m: TheoryMorphism, term: Term) -> Term:
-    return _rename(term, m.fn_map, m.rel_map)
-
-
 def translate_formula(m: TheoryMorphism, formula: Formula) -> Formula:
     """None when m misses a symbol of the formula; validate_morphism rules
     that out for formulas over m's source signature."""

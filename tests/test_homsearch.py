@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -22,8 +23,14 @@ from phl.homsearch import (
     hom_exists,
     local_retraction_check,
 )
-from phl.structures import Homomorphism, compose, hom_violation, is_surjective
-from phl.syntax import ValidationError
+from phl.structures import (
+    Homomorphism,
+    compose,
+    hom_violation,
+    is_surjective,
+    make_structure,
+)
+from phl.syntax import Signature, Theory, ValidationError
 
 
 def brute_force_homs(X, Y, restrict=None):
@@ -75,6 +82,67 @@ def test_hom_counts_match_brute_force():
             (X.name, Y.name)
         assert in_carrier_order(enumerate_homs(X, Y, injective=True)) == \
             in_carrier_order([h for h in slow if is_injective(h)]), (X.name, Y.name)
+
+
+def random_digraph(rng, name):
+    """At most 5 elements; self-loops come up, so a relation tuple can
+    repeat a variable."""
+    labels = [str(i) for i in range(rng.randrange(6))]
+    density = rng.random()
+    edges = [(a, b) for a in labels for b in labels if rng.random() < density]
+    return make_structure(get_theory("brel"), {"el": labels}, relations={"r": edges},
+                          name=name)
+
+
+def test_hom_exists_matches_brute_force():
+    """Existence search against the brute force, on every ordered pair of
+    members of four universes and on 200 seeded random digraphs, each
+    against its neighbours in the list, both ways."""
+    cases = []
+    for name, k in (("cospan", 2), ("remark-locret-2", 2), ("urel", 2), ("pos", 3)):
+        members = enumerate_models(get_theory(name), k).members
+        cases += [(X, Y) for X in members for Y in members]
+    rng = random.Random(20251018)
+    graphs = [random_digraph(rng, f"g{i}") for i in range(200)]
+    assert any((a, a) in G.relations["r"] for G in graphs for a in G.carrier("el"))
+    for X, Y in zip(graphs, graphs[1:] + graphs[:1]):
+        cases += [(X, Y), (Y, X)]
+    for X, Y in cases:
+        assert hom_exists(X, Y) == bool(brute_force_homs(X, Y)), (X.name, Y.name)
+
+
+def test_hom_exists_edge_cases():
+    # a constant: the point must go to the target's constant
+    pointed = get_theory("pointed")
+    two = make_structure(pointed, {"el": ["0", "1"]}, {"pt": {(): "1"}})
+    one = make_structure(pointed, {"el": ["0"]}, {"pt": {(): "0"}})
+    bare = make_structure(pointed, {"el": ["0", "1"]})
+    for X, Y in itertools.product([two, one, bare], repeat=2):
+        assert hom_exists(X, Y) == bool(brute_force_homs(X, Y))
+    assert hom_exists(two, one) and not hom_exists(two, bare)
+    # an empty carrier maps everywhere, and nothing nonempty maps into it
+    assert hom_exists(set_of(0), set_of(0)) and hom_exists(set_of(0), set_of(2))
+    assert not hom_exists(set_of(1), set_of(0))
+    # a nullary relation must hold in the target when it holds in the source
+    flag = Theory("flag", Signature(("el",), {}, {"p": ()}))
+    on = make_structure(flag, {"el": ["0"]}, relations={"p": [()]})
+    off = make_structure(flag, {"el": ["0", "1"]})
+    for X, Y in itertools.product([on, off], repeat=2):
+        assert hom_exists(X, Y) == bool(brute_force_homs(X, Y))
+    assert hom_exists(off, on) and not hom_exists(on, off)
+    # structures of different theories: no homomorphism, even between sets
+    assert not hom_exists(set_of(1), urel_of(1, []))
+    point = make_structure(get_theory("preord"), {"el": ["0"]}, relations={"leq": [("0", "0")]})
+    assert not hom_exists(chain_poset(1), point)
+
+
+def test_hom_exists_on_the_slow_chain_pairs():
+    """Pairs that took seconds by enumeration: dropping a prime cycle or an
+    atom leaves no homomorphism, adding one does."""
+    assert not hom_exists(endo_primes(5), endo_primes(4))
+    assert hom_exists(endo_primes(4), endo_primes(5))
+    assert not hom_exists(m_lattice(8), m_lattice(7))
+    assert hom_exists(m_lattice(7), m_lattice(8))
 
 
 def test_every_returned_map_is_a_homomorphism():

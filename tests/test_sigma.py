@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from phl import sigma
+from phl import sigma, targets
 from phl.corpus import (
     antichain_poset,
     chain_names,
@@ -15,6 +15,8 @@ from phl.corpus import (
     urel_of,
 )
 from phl.groups import cyclic_group, symmetric_3, trivial_group
+from phl.homsearch import find_hom
+from phl.report import RunContext, run_targets
 from phl.sigma import (
     AccResult,
     HomQuiver,
@@ -178,16 +180,46 @@ def test_acc_probe_matches_all_pairs_oracle(name, monkeypatch):
     stage_of = {id(X): n for n, X in enumerate(stages)}
     asked = []
 
-    def lookup(X, Y):
-        asked.append((stage_of[id(X)], stage_of[id(Y)]))
+    def lookup(P, Q):
+        asked.append((stage_of[id(P.structure)], stage_of[id(Q.structure)]))
         return conn[asked[-1][0]][asked[-1][1]]
 
-    monkeypatch.setattr(sigma, "hom_exists", lookup)
+    monkeypatch.setattr(sigma.HomPlan, "maps_to", lookup)
     fixed = dataclasses.replace(chain, structure_at=stages.__getitem__)
     for horizon in range(1, len(stages)):
         asked.clear()
         assert acc_probe(fixed, horizon) == acc_probe_all_pairs(conn, horizon), horizon
         assert len(asked) <= 2 * horizon
+
+
+def test_registry_quivers_match_enumeration(monkeypatch):
+    """Every family a registry sigma or acc target builds a quiver of, and
+    the stages up to the horizon of every chain it probes: the edges are
+    exactly the pairs where enumeration finds a homomorphism."""
+    families = []
+    quiver, probe = sigma.build_hom_quiver, targets.acc_probe
+
+    def recording_quiver(structures, labels=None):
+        families.append(list(structures))
+        return quiver(structures, labels)
+
+    def recording_probe(chain, horizon):
+        families.append([chain.structure_at(n) for n in range(horizon + 1)])
+        return probe(chain, horizon)
+
+    monkeypatch.setattr(sigma, "build_hom_quiver", recording_quiver)
+    monkeypatch.setattr(targets, "build_hom_quiver", recording_quiver)
+    monkeypatch.setattr(targets, "acc_probe", recording_probe)
+    tags = {"sigma-count", "acc-false", "acc-true", "gset"}
+    names = [t.name for t in targets.TARGETS if tags & set(t.tags)]
+    assert all(row["verdict"] == "match" for row in run_targets(names, RunContext()))
+    monkeypatch.undo()
+    # one per target, less colimit-ordinal, fam-s3-subgroups and
+    # subgroup-counts, which build none, plus ordinal-sigma-k2's universe
+    assert len(families) == len(names) - 2
+    for family in families:
+        assert build_hom_quiver(family).edges == [
+            [find_hom(X, Y) is not None for Y in family] for X in family]
 
 
 def test_ordinal_stage_sigma_is_a_chain():
