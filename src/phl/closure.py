@@ -103,6 +103,17 @@ class ModelUniverse:
             find_section(p if rho is None else reduct_hom(rho, p)) is not None
             for p in self.homs(i, j)))
 
+    def sizes(self) -> list:
+        """The carrier sizes of each member, in signature sort order."""
+        return self._remember(("sizes",), lambda: [
+            tuple(len(X.carrier(s)) for s in self.theory.signature.sorts)
+            for X in self.members])
+
+    def bounded(self, vectors) -> bool:
+        """Does a product of factors with these carrier sizes stay within
+        the bound?"""
+        return all(math.prod(column) <= self.k for column in zip(*vectors))
+
     def product_index(self, combo: tuple) -> Optional[int]:
         """The member index of the product of the members in `combo`, a
         sorted tuple, or None when the product exceeds the bound.  () gives
@@ -110,10 +121,9 @@ class ModelUniverse:
         return self._remember(("product", combo), lambda: self._product_index(combo))
 
     def _product_index(self, combo: tuple) -> Optional[int]:
-        factors = [self.members[i] for i in combo]
-        if combo and any(math.prod(len(F.carrier(s)) for F in factors) > self.k
-                         for s in self.theory.signature.sorts):
+        if combo and not self.bounded([self.sizes()[i] for i in combo]):
             return None
+        factors = [self.members[i] for i in combo]
         idx = self.index.get(canonical_key(product(self.theory, factors)))
         if idx is None:
             named = " x ".join(F.name for F in factors) or "the terminal model"
@@ -311,6 +321,12 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None) ->
 # universe cache
 
 
+# The layout of a cache file and the labelled representatives it holds.  A
+# change to either (a new cell or value order in enumerate_models can keep
+# every key and still move the tables) must bump it, so old files are missed.
+UNIVERSE_CACHE_FORMAT = 1
+
+
 def universe_cache_path(theory: Theory, k: int, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"{theory.name}-{theory_hash(theory)}-k{k}.jsonl")
 
@@ -322,8 +338,9 @@ def save_universe(U: ModelUniverse, cache_dir: str) -> str:
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps({"theory": U.theory.name, "hash": theory_hash(U.theory),
-                                 "k": U.k, "members": len(U.members)}) + "\n")
+            fh.write(json.dumps({"format": UNIVERSE_CACHE_FORMAT, "theory": U.theory.name,
+                                 "hash": theory_hash(U.theory), "k": U.k,
+                                 "members": len(U.members)}) + "\n")
             for key, X in zip(U.keys, U.members):
                 fh.write(json.dumps({"key": key, "structure": structure_to_json(X)},
                                     sort_keys=True) + "\n")
@@ -337,11 +354,12 @@ def save_universe(U: ModelUniverse, cache_dir: str) -> str:
 def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUniverse]:
     """The cached universe, or None on a miss.
 
-    A file for another theory or bound is a silent miss.  A damaged file (a
-    line that is not JSON, a header that is not an object, fewer or more rows
-    than its header counts, a row without a string key and a valid
-    structure, or two rows with one key) is a miss with a warning on stderr,
-    so enumerate_models rebuilds it."""
+    A file for another theory or bound is a silent miss.  A file written in
+    another format (UNIVERSE_CACHE_FORMAT; files from before the field have
+    none) and a damaged file (a line that is not JSON, a header that is not
+    an object, fewer or more rows than its header counts, a row without a
+    string key and a valid structure, or two rows with one key) are misses
+    with a warning on stderr, so enumerate_models rebuilds them."""
     path = universe_cache_path(theory, k, cache_dir)
     if not os.path.exists(path):
         return None
@@ -358,6 +376,9 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
     head = lines[0]
     if not isinstance(head, dict):
         return _damaged_cache(path, "the header is not a JSON object")
+    if head.get("format") != UNIVERSE_CACHE_FORMAT:
+        return _damaged_cache(path, f"cache format {head.get('format', 'absent')}, "
+                                    f"expected {UNIVERSE_CACHE_FORMAT}")
     if head.get("hash") != theory_hash(theory) or head.get("k") != k:
         return None
     if head.get("members") != len(lines) - 1:
@@ -426,27 +447,81 @@ PRODUCT_ARITY_CAP = 4
 
 
 def closure_P(mc: ModelClass) -> ModelClass:
-    """Close under finite products that stay inside the universe bound.
+    """Close under finite products of at most PRODUCT_ARITY_CAP factors that
+    stay inside the universe bound.  The empty product is the terminal model
+    and is always added.
 
-    Products are formed directly at every arity up to PRODUCT_ARITY_CAP,
-    because in a multi-sorted universe the factors of a bounded n-ary
-    product need not have bounded intermediate products.  The empty product
-    is the terminal model and is always added.
+    A worklist over binary products, like _grow: each member popped asks for
+    its product with every member of that moment, itself included.  That is
+    enough for every bounded product with a bounded pair of factors: the
+    pair's product is a member, and multiplying it by the other factors is a
+    smaller product with the same result up to isomorphism (products are
+    associative, and canonical keys are isomorphism invariants) and the same
+    carrier sizes.  What binary products miss are bounded products of 3 or
+    more factors no two of which have a bounded product.  Each over-bound
+    pair then needs another factor with an empty carrier in a sort where the
+    pair overflows.  In a one-sorted universe that factor's product with
+    anything is empty, hence bounded, so they occur only with several
+    sorts; _wide_products finds them from the carrier sizes alone.  The two
+    steps repeat until neither adds a member.
     """
     U = mc.universe
     S = set(mc.indices)
     S.add(U.product_index(()))
-    changed = True
-    while changed:
-        changed = False
-        base = sorted(S)
-        for r in range(2, PRODUCT_ARITY_CAP + 1):
-            for combo in itertools.combinations_with_replacement(base, r):
-                idx = U.product_index(combo)
+    todo = sorted(S)
+    while todo:
+        while todo:
+            m = todo.pop()
+            for j in sorted(S):
+                idx = U.product_index((min(m, j), max(m, j)))
                 if idx is not None and idx not in S:
                     S.add(idx)
-                    changed = True
+                    todo.append(idx)
+        todo = sorted(set(_wide_products(U, S)) - S)
+        S.update(todo)
     return mc.with_indices(S)
+
+
+def _wide_products(U: ModelUniverse, S: set):
+    """The products of 3 to PRODUCT_ARITY_CAP members of S that stay within
+    the bound although no two of their factors do.
+
+    Whether a product is bounded depends only on the carrier sizes of its
+    factors, so the combinations are grown over the distinct size vectors of
+    S (as int bitsets of candidates), a vector joining only if its product
+    with each vector already in is over the bound.  A sort that overflows
+    stays over the bound until a vector with an empty carrier there joins,
+    so a combination with no such candidate left is dropped.  Members are
+    enumerated only under the bounded vector combinations, which one-sorted
+    universes never have."""
+    sizes = U.sizes()
+    by_vector = {}
+    for i in sorted(S):
+        by_vector.setdefault(sizes[i], []).append(i)
+    vectors = sorted(by_vector)
+    sorts = range(len(U.theory.signature.sorts))
+    # over[n]: the vectors from n on whose product with vectors[n] is over the bound
+    over = [sum(1 << m for m in range(n, len(vectors)) if not U.bounded((v, vectors[m])))
+            for n, v in enumerate(vectors)]
+    empty = [sum(1 << n for n, v in enumerate(vectors) if not v[s]) for s in sorts]
+
+    def grow(combo, candidates):
+        overflow = [s for s in sorts if math.prod(v[s] for v in combo) > U.k]
+        if len(combo) >= 3 and not overflow:
+            yield combo
+        if len(combo) == PRODUCT_ARITY_CAP or any(not candidates & empty[s] for s in overflow):
+            return
+        rest = candidates
+        while rest:
+            n = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            yield from grow(combo + (vectors[n],), candidates & over[n])
+
+    for combo in grow((), (1 << len(vectors)) - 1):
+        runs = [itertools.combinations_with_replacement(by_vector[v], combo.count(v))
+                for v in sorted(set(combo))]
+        for parts in itertools.product(*runs):
+            yield U.product_index(tuple(sorted(itertools.chain(*parts))))
 
 
 def _grow(mc: ModelClass, edge) -> ModelClass:

@@ -549,6 +549,14 @@ def product(theory: Theory, factors: list, name: str = "") -> PartialStructure:
         s: tuple(itertools.product(*(F.carrier(s) for F in factors)))
         for s in sig.sorts
     }
+    return _product_on(theory, factors, carriers, name)
+
+
+def _product_on(theory: Theory, factors: list, carriers: dict, name: str) -> PartialStructure:
+    """The substructure of the product of `factors` on `carriers`, tuples of
+    factor elements, in itertools.product order of its argument tuples.  The
+    carriers must be closed under the product's defined operations."""
+    sig = theory.signature
     functions = {}
     for f, (argsorts, result) in sig.functions.items():
         table = {}
@@ -582,22 +590,16 @@ def projection(P: PartialStructure, factors: list, i: int) -> Homomorphism:
 
 def pullback(p: Homomorphism, q: Homomorphism) -> tuple:
     """Pullback of p: A -> C and q: B -> C with its two projections: the
-    substructure of A x B on the pairs where p and q agree."""
+    substructure of A x B on the pairs where p and q agree.  Homomorphisms
+    preserve defined operations, so those pairs are closed under them and
+    the tables are built on them alone."""
     if p.target is not q.target:
         raise ValidationError("pullback needs a shared codomain")
     A, B = p.source, q.source
-    sig = A.theory.signature
-    AB = product(A.theory, [A, B])
-
-    def agree(argsorts, args) -> bool:
-        return all(p.maps[s][a] == q.maps[s][b] for s, (a, b) in zip(argsorts, args))
-
-    carriers = {s: tuple(x for x in AB.carrier(s) if agree((s,), (x,))) for s in sig.sorts}
-    functions = {f: {args: v for args, v in AB.functions[f].items() if agree(argsorts, args)}
-                 for f, (argsorts, _) in sig.functions.items()}
-    relations = {r: {args for args in AB.relations[r] if agree(argsorts, args)}
-                 for r, argsorts in sig.relations.items()}
-    P = PartialStructure(A.theory, carriers, functions, relations, "pullback")
+    carriers = {s: tuple((a, b) for a in A.carrier(s) for b in B.carrier(s)
+                         if p.maps[s][a] == q.maps[s][b])
+                for s in A.theory.signature.sorts}
+    P = _product_on(A.theory, [A, B], carriers, "pullback")
     return P, projection(P, [A, B], 0), projection(P, [A, B], 1)
 
 

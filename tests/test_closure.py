@@ -29,7 +29,7 @@ from phl.closure import (
 )
 from phl.corpus import get_morphism, get_theory, theory_names
 from phl.homsearch import enumerate_homs, iter_homs, passes_probes
-from phl.parser import parse_sequents
+from phl.parser import parse_sequents, parse_theory
 from phl.structures import (
     Homomorphism,
     PartialStructure,
@@ -312,6 +312,17 @@ def test_universe_cache_repeated_key_is_a_miss(tmp_path, capsys):
     assert "two rows share a key" in err
 
 
+def test_universe_cache_in_another_format_is_a_miss(tmp_path, capsys):
+    err = _damage_and_reload(tmp_path, capsys,
+                             _rewrite_row(0, lambda head: head.update(format=0)))
+    assert f"cache format 0, expected {closure.UNIVERSE_CACHE_FORMAT}" in err
+
+
+def test_universe_cache_without_a_format_is_a_miss(tmp_path, capsys):
+    err = _damage_and_reload(tmp_path, capsys, _rewrite_row(0, lambda head: head.pop("format")))
+    assert f"cache format absent, expected {closure.UNIVERSE_CACHE_FORMAT}" in err
+
+
 def test_universe_with_a_repeated_key_raises():
     U = enumerate_models(get_theory("set"), 2)
     with pytest.raises(ValueError, match="universe of 'set' at k=2 share a canonical key"):
@@ -393,6 +404,70 @@ def test_missing_bounded_product_fails_loudly():
         closure_P(ModelClass(U, frozenset([plain_pt, marked_pair])))
     assert (f"{U.members[plain_pt].name} x {U.members[marked_pair].name}"
             in str(exc.value))
+
+
+def naive_closure_P(U, indices, built):
+    """closure_P the slow way: every multiset of 2 to PRODUCT_ARITY_CAP
+    members, its product built outright and looked up by key, until nothing
+    changes.  `built` memoizes products by combination across classes."""
+    sorts = U.theory.signature.sorts
+
+    def product_of(combo):
+        if combo not in built:
+            factors = [U.members[i] for i in combo]
+            bounded = all(math.prod(len(F.carrier(s)) for F in factors) <= U.k for s in sorts)
+            built[combo] = (U.index[canonical_key(product(U.theory, factors))]
+                            if bounded else None)
+        return built[combo]
+
+    S = set(indices) | {product_of(())}
+    changed = True
+    while changed:
+        changed = False
+        for r in range(2, closure.PRODUCT_ARITY_CAP + 1):
+            for combo in itertools.combinations_with_replacement(sorted(S), r):
+                idx = product_of(combo)
+                if idx is not None and idx not in S:
+                    S.add(idx)
+                    changed = True
+    return frozenset(S)
+
+
+@pytest.mark.parametrize("name,k", [("set", 3), ("urel", 2), ("pos", 3), ("erel", 3),
+                                    ("idem", 3), ("nset-3", 3), ("arrow", 2)])
+def test_closure_p_matches_naive_products_on_every_class(name, k):
+    U = enumerate_models(get_theory(name), k)
+    built = {}
+    for idx in _every_class(U):
+        assert closure_P(ModelClass(U, idx)).indices == naive_closure_P(U, idx, built), \
+            sorted(idx)
+
+
+@pytest.mark.parametrize("name,k", [("end", 3), ("preord", 3), ("cospan", 2),
+                                    ("chaincov-3", 2)])
+def test_closure_p_matches_naive_products_on_seeded_classes(name, k):
+    U = enumerate_models(get_theory(name), k)
+    rng = random.Random(f"closure-P-{name}")
+    built = {}
+    for _ in range(40):
+        idx = frozenset(i for i in range(len(U)) if rng.random() < 0.4)
+        assert closure_P(ModelClass(U, idx)).indices == naive_closure_P(U, idx, built), \
+            sorted(idx)
+
+
+def test_closure_p_adds_a_product_with_no_bounded_pair():
+    """Three sorts at k=2: any two of 0x2x2, 2x0x2 and 2x2x0 overflow a sort
+    (2 x 2 > 2), but all three multiply to the empty structure, which only a
+    product of three factors at once reaches."""
+    U = enumerate_models(parse_theory("theory three { sorts a, b, c; }"), 2)
+    assert len(U) == 27
+    sizes = [tuple(len(X.carrier(s)) for s in "abc") for X in U.members]
+    idx = frozenset(sizes.index(v) for v in [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    out = closure_P(ModelClass(U, idx)).indices
+    assert sizes.index((0, 0, 0)) in out
+    assert out == naive_closure_P(U, idx, {})
+    assert sorted(sizes[i] for i in out) == [(0, 0, 0), (0, 2, 2), (1, 1, 1),
+                                              (2, 0, 2), (2, 2, 0)]
 
 
 _OPERATORS = (closure_P, closure_Sc, closure_Hloc, surjective_image_closure,
