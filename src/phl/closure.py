@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import getitem
 from typing import Optional
 
-from .homsearch import enumerate_homs, find_section, iter_homs
+from .homsearch import HomPlan, fibers, find_section
 from .structures import (
     RELABEL_BUDGET,
     PartialStructure,
@@ -80,15 +80,18 @@ class ModelUniverse:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def plan(self, i: int) -> HomPlan:
+        """Member i's hom search tables, shared by every search it is in."""
+        return self._remember(("plan", i), lambda: HomPlan(self.members[i]))
+
     def homs(self, i: int, j: int) -> list:
-        return self._remember(("homs", i, j), lambda: enumerate_homs(
-            self.members[i], self.members[j]))
+        return self._remember(("homs", i, j), lambda: list(
+            self.plan(i).homs(self.plan(j))))
 
     def closed_sub(self, i: int, j: int) -> bool:
         """Does member i embed into member j as a closed substructure?"""
         return self._remember(("closed-sub", i, j), lambda: any(
-            is_closed_mono(h)
-            for h in iter_homs(self.members[i], self.members[j], injective=True)))
+            is_closed_mono(h) for h in self.plan(i).homs(self.plan(j), injective=True)))
 
     def locret(self, i: int, j: int, rho: Optional[TheoryMorphism] = None) -> bool:
         """Does some homomorphism p: member i -> member j (its reduct along
@@ -99,9 +102,12 @@ class ModelUniverse:
         one of the probes, and lifting its identity through p is a section
         of p, while a section s lifts every probe map f as s . f.  So one
         section search per homomorphism decides it."""
-        return self._remember(("locret", i, j, None if rho is None else rho.name), lambda: any(
-            find_section(p if rho is None else reduct_hom(rho, p)) is not None
-            for p in self.homs(i, j)))
+        def has_section(p):
+            if rho is not None:
+                return find_section(reduct_hom(rho, p)) is not None
+            return next(self.plan(j).homs(self.plan(i), restrict=fibers(p)), None) is not None
+        return self._remember(("locret", i, j, None if rho is None else rho.name),
+                              lambda: any(map(has_section, self.homs(i, j))))
 
     def sizes(self) -> list:
         """The carrier sizes of each member, in signature sort order."""

@@ -1,29 +1,33 @@
 """Backtracking homomorphism search over finite partial structures.
 
-Two searches with two contracts.
+One search serves enumeration and existence.  A homomorphism search is a
+constraint satisfaction problem (Feder & Vardi 1998): one variable per
+source element, one constraint per function entry, read as the tuple
+(args..., value) of the function's graph, and per relation tuple.  Domains
+are int bitsets over the target carrier.  Every assignment forward-checks
+(Haralick & Elliott 1980) each constraint left with one free variable.  The
+tables live on a `HomPlan`, built once per structure.
 
-`iter_homs` enumerates, and its order is part of the contract.  It is one
-generator.  Each function entry and relation tuple of the source is one
-check, listed under every source element it mentions, and mapping an
-element runs its checks.  Once a check's arguments are all mapped, the
-target must hold the image tuple: in the relation, or in the function's
-domain, where the entry's value is then forced, failing early on a clash.
-Nullary entries are checked once, before the first choice.  Homomorphisms
-come out in the lexicographic order of the source elements (sorts as
-declared, carrier order within a sort), each ranging over the target
-carrier, or over `restrict`'s tuple for that element.  Each sort's map lists
-elements in the order they were mapped, forced values included; `phl hom`
-prints these maps as they are.
+The search runs in one of two orders.
 
-`hom_exists` and `HomPlan.maps_to` decide existence only and give no
-witness.  Existence is a constraint satisfaction problem (Feder & Vardi
-1998): one variable per source element, one constraint per function entry,
-read as the tuple (args..., value) of the function's graph, and per
-relation tuple.  Domains are int bitsets over the target carrier.  Every
-assignment forward-checks (Haralick & Elliott 1980) each constraint left
-with one free variable, and the variable with the smallest domain goes
-next, so forced values go first.  A homomorphism exists iff each connected
-component of the source maps, so each component is searched on its own.
+Enumeration (`HomPlan.homs`, and through it `iter_homs`, `find_hom`,
+`enumerate_homs` and `find_section`) takes the variables in source order
+(sorts as declared, carrier order within a sort) and the values in target
+carrier order, so homomorphisms come out in lexicographic order; that order
+is part of the contract.  `injective` adds one constraint per two elements
+of a sort, that their values differ, so forward checking removes each
+assigned value from the domains of the free variables of its sort.
+`restrict` narrows the initial domains without reordering them.  Each
+sort's map lists the elements in carrier order; `phl hom` prints these maps
+as they are.
+
+Existence (`hom_exists`, `HomPlan.maps_to`) gives no witness.  The variable
+with the smallest domain goes next, so forced values go first, and since a
+homomorphism exists iff each connected component of the source maps, each
+component is searched on its own.
+
+The module functions build two plans per call.  A caller that searches many
+pairs keeps one plan per structure instead (a family, a chain, a universe).
 """
 
 from __future__ import annotations
@@ -42,91 +46,7 @@ from .syntax import ValidationError
 
 def iter_homs(X: PartialStructure, Y: PartialStructure, injective: bool = False,
               restrict: Optional[dict] = None) -> Iterator[Homomorphism]:
-    if X.theory.name != Y.theory.name:
-        return
-    sig = X.theory.signature
-    order = [(s, a) for s in sig.sorts for a in X.carrier(s)]
-    restrict = restrict or {}
-    cands = {key: restrict.get(key, Y.carrier(key[0])) for key in order}
-    # a check: (argument keys, Y's table, (result sort, value)) or (keys, Y's relation, None)
-    checks = {key: [] for key in [None] + order}  # None: the nullary entries
-    entries = [(tuple(zip(argsorts, args)), Y.functions.get(f, {}), (result, val))
-               for f, (argsorts, result) in sig.functions.items()
-               for args, val in X.functions.get(f, {}).items()]
-    entries += [(tuple(zip(argsorts, args)), Y.relations.get(r, set()), None)
-                for r, argsorts in sig.relations.items()
-                for args in X.relations.get(r, ())]
-    for check in entries:
-        for key in set(check[0]) or (None,):
-            checks[key].append(check)
-    image, used, trail = {}, set(), []  # key -> value, (sort, value) taken, keys mapped
-
-    def run(todo) -> bool:
-        for keys, table, out in todo:
-            args = []
-            for key in keys:
-                v = image.get(key)
-                if v is None:
-                    break  # not yet fully mapped
-                args.append(v)
-            else:
-                if out is None:
-                    if tuple(args) not in table:
-                        return False
-                    continue
-                v = table.get(tuple(args))  # None, if undefined, is in no carrier
-                got = image.get(out)
-                if got is None:
-                    if v not in cands[out] or not assign(out, v):
-                        return False
-                elif got != v:
-                    return False
-        return True
-
-    def assign(key, v) -> bool:
-        if injective:
-            if (key[0], v) in used:
-                return False
-            used.add((key[0], v))
-        image[key] = v
-        trail.append(key)
-        return run(checks[key])
-
-    def undo(mark) -> None:
-        while len(trail) > mark:
-            key = trail.pop()
-            v = image.pop(key)
-            if injective:
-                used.discard((key[0], v))
-
-    if not run(checks[None]):
-        return
-    stack = []  # per choice made: (position in order, candidates left, trail mark)
-    i = 0
-    while True:
-        while i < len(order) and order[i] in image:
-            i += 1
-        if i == len(order):
-            maps = {s: {} for s in sig.sorts}
-            for key in trail:
-                maps[key[0]][key[1]] = image[key]
-            yield Homomorphism(X, Y, maps)
-        else:
-            stack.append((i, iter(cands[order[i]]), len(trail)))
-        while stack:  # the next candidate of the deepest open choice
-            i, left, mark = stack[-1]
-            undo(mark)
-            for v in left:
-                if assign(order[i], v):
-                    break
-                undo(mark)
-            else:
-                stack.pop()
-                continue
-            i += 1
-            break
-        else:
-            return
+    return HomPlan(X).homs(HomPlan(Y), injective, restrict)
 
 
 def find_hom(X: PartialStructure, Y: PartialStructure, injective: bool = False,
@@ -148,70 +68,68 @@ def hom_exists(X: PartialStructure, Y: PartialStructure) -> bool:
 
 
 class HomPlan:
-    """One structure's tables for existence search, each built on first use
-    and kept, so a family or a chain builds them once per member.
+    """One structure's search tables, each built on first use and kept, so
+    a family, a chain or a universe builds them once per member.
 
-    Elements are numbered by their position in their sort's carrier, and
-    each symbol's tuples are kept as such positions.  As a source the plan
-    holds its variables (one per element), its constraints grouped by
-    symbol and argument pattern, and the connected components of its
-    constraint graph.  As a target it holds, per symbol and argument
-    pattern, the support of each position as int bitsets, built only for
-    the patterns some source asks for.  The structure must not change
-    while its plan is in use.
+    Elements are numbered by their position in the list of all elements
+    (sorts as declared, carrier order within a sort), and each symbol's
+    tuples are kept as such numbers.  As a source the plan holds its
+    constraints grouped by symbol and argument pattern, and the connected
+    components of its constraint graph; its elements are the variables.  As
+    a target it holds, per symbol and argument pattern, the support of each
+    position as int bitsets, built only for the patterns some source asks
+    for.  The structure must not change while its plan is in use.
     """
 
     def __init__(self, X: PartialStructure):
         self.structure = X
-        sig = X.theory.signature
-        self._index = {s: {a: i for i, a in enumerate(X.carrier(s))} for s in sig.sorts}
-        self._rows = {}  # (symbol, is_function) -> _encoded's pair
+        self._elements = []  # element number -> element
+        self._numbers = {}  # sort -> {element: number}
+        self._masks = {}  # sort -> bitset of its element numbers
+        for s in X.theory.signature.sorts:
+            carrier, start = X.carrier(s), len(self._elements)
+            self._numbers[s] = dict(zip(carrier, range(start, start + len(carrier))))
+            self._masks[s] = ((1 << len(carrier)) - 1) << start
+            self._elements += carrier
+        self._rows = {}  # (symbol, is_function) -> _encoded's list
         self._source = None
         self._supports = {}  # (symbol, is_function, pattern) -> _support's triple
 
-    def _encoded(self, name: str, is_function: bool) -> tuple:
-        """(sorts of the positions, tuples as carrier positions) of one
-        symbol; a function gives the tuples (args..., value) of its graph."""
+    def _encoded(self, name: str, is_function: bool) -> list:
+        """One symbol's tuples as element numbers; a function gives the
+        tuples (args..., value) of its graph."""
         got = self._rows.get((name, is_function))
         if got is None:
             X = self.structure
             sig = X.theory.signature
             if is_function:
                 argsorts, result = sig.functions[name]
-                keysorts = argsorts + (result,)
+                numbers = list(map(self._numbers.__getitem__, argsorts + (result,)))
                 tuples = [args + (val,) for args, val in X.functions.get(name, {}).items()]
             else:
-                keysorts, tuples = sig.relations[name], X.relations.get(name, ())
-            index = list(map(self._index.__getitem__, keysorts))
-            got = self._rows[name, is_function] = (
-                keysorts, [tuple(map(dict.__getitem__, index, t)) for t in tuples])
+                numbers = list(map(self._numbers.__getitem__, sig.relations[name]))
+                tuples = X.relations.get(name, ())
+            got = self._rows[name, is_function] = [
+                tuple(map(dict.__getitem__, numbers, t)) for t in tuples]
         return got
 
     def _source_tables(self) -> tuple:
         """(variable sorts, constraint keys, scopes per key, links,
         components).  A key is (symbol, is_function, pattern): the pattern
-        numbers each position by the first position of its variable among
-        the distinct ones, or is None when the variables are all distinct.
-        A scope is the tuple of distinct variables of one entry or tuple.
+        numbers each position by the first position of its variable among the
+        distinct ones, or is None when the variables are all distinct.  A
+        scope is the tuple of distinct variables of one entry or tuple.
         links[v] lists (scope, key number) for the scopes of two or more
-        variables that hold v.  Components of one variable are left out:
-        the initial domains settle them."""
+        variables that hold v.  Components of one variable are left out: the
+        initial domains settle them."""
         sig = self.structure.theory.signature
-        sorts, offset = [], {}
-        for s in sig.sorts:
-            offset[s] = len(sorts)
-            sorts += [s] * len(self._index[s])
-        number, scopes, links = {}, [], [[] for _ in sorts]
+        number, scopes, links = {}, [], [[] for _ in self._elements]
         symbols = [(f, True) for f in sig.functions] + [(r, False) for r in sig.relations]
         for name, is_function in symbols:
-            keysorts, rows = self._encoded(name, is_function)
-            shift = list(map(offset.__getitem__, keysorts))
-            for row in rows:
-                vs = tuple(map(int.__add__, shift, row))
-                if len(set(vs)) == len(vs):
-                    scope, pattern = vs, None
-                else:
-                    scope = tuple(dict.fromkeys(vs))
+            for scope in self._encoded(name, is_function):
+                pattern = None
+                if len(set(scope)) < len(scope):
+                    vs, scope = scope, tuple(dict.fromkeys(scope))
                     pattern = tuple(map(scope.index, vs))
                 n = number.setdefault((name, is_function, pattern), len(scopes))
                 if n == len(scopes):
@@ -235,6 +153,7 @@ class HomPlan:
                                 seen.add(w)
                                 todo.append(w)
                 comps.append(comp)
+        sorts = [s for s, numbers in self._numbers.items() for _ in numbers]
         self._source = (sorts, list(number), scopes, links, comps)
         return self._source
 
@@ -245,15 +164,13 @@ class HomPlan:
         the values of the other positions to the bitset of values position k
         may take; inhabited says whether any tuple fits."""
         name, is_function, pattern = key
-        keysorts, rows = self._encoded(name, is_function)
-        width = len(keysorts)
+        rows = self._encoded(name, is_function)
         if pattern is not None:  # keep the tuples that repeat as the pattern does
             first = [pattern.index(k) for k in range(max(pattern) + 1)]
             rows = [tuple(map(t.__getitem__, first)) for t in rows
                     if all(t[i] == t[first[k]] for i, k in enumerate(pattern))]
-            width = len(first)
         projections, supports = [], []
-        for k in range(width):
+        for k in range(len(rows[0]) if rows else 0):
             proj, sup = 0, {}
             for row in rows:
                 rest = row[:k] + row[k + 1:]
@@ -265,51 +182,109 @@ class HomPlan:
         got = self._supports[key] = (projections, supports, bool(rows))
         return got
 
-    def maps_to(self, other: "HomPlan") -> bool:
-        """Whether some homomorphism runs from this plan's structure to
-        other's."""
-        if self.structure.theory.name != other.structure.theory.name:
-            return False
-        sorts, keys, scopes, links, comps = self._source or self._source_tables()
-        index = other._index
-        dom = [(1 << len(index[s])) - 1 for s in sorts]
+    def _domains(self, other: "HomPlan", restrict: Optional[dict] = None) -> tuple:
+        """(initial domains, supports per key number) for a search into
+        other, or None when some domain is empty or some symbol has no
+        target tuple to go to."""
+        sorts, keys, scopes, _, _ = self._source or self._source_tables()
+        dom = list(map(other._masks.__getitem__, sorts))
+        for (s, a), labels in restrict.items() if restrict else ():
+            v = self._numbers.get(s, {}).get(a)
+            if v is None:
+                continue  # not an element of the source
+            targets, mask = other._numbers[s], 0
+            for b in labels:
+                if b not in targets:
+                    raise ValidationError(f"restrict sends element {a!r} of sort {s!r} "
+                                          f"to {b!r}, which is not in the target carrier")
+                mask |= 1 << targets[b]
+            dom[v] &= mask
         supports = []  # per key number
         known = other._supports
         for key, key_scopes in zip(keys, scopes):
             projections, sup, inhabited = known.get(key) or other._support(key)
             if not inhabited:
-                return False
+                return None
             supports.append(sup)
             for scope in key_scopes:
                 for k, v in enumerate(scope):
                     dom[v] &= projections[k]
-        if not all(dom):
+        return (dom, supports) if all(dom) else None
+
+    def maps_to(self, other: "HomPlan") -> bool:
+        """Whether some homomorphism runs from this plan's structure to
+        other's."""
+        if self.structure.theory.name != other.structure.theory.name:
             return False
-        value = [None] * len(sorts)
-        for comp in comps:
-            if not _component_maps(comp, dom, value, links, supports):
-                return False
-        return True
+        got = self._domains(other)
+        if got is None:
+            return False
+        dom, supports = got
+        links, comps = self._source[3:]
+        value = [None] * len(dom)
+        # unordered, a search yields at most once
+        return all(list(_search(comp, False, dom, value, links, supports)) for comp in comps)
+
+    def homs(self, other: "HomPlan", injective: bool = False,
+             restrict: Optional[dict] = None) -> Iterator[Homomorphism]:
+        """Every homomorphism from this plan's structure to other's (each
+        one-to-one on every sort, if `injective`), in lexicographic order of
+        the source elements over target carrier order.  `restrict` maps
+        (sort, element) to the target elements the element may go to."""
+        X, Y = self.structure, other.structure
+        if X.theory.name != Y.theory.name:
+            return
+        got = self._domains(other, restrict)
+        if got is None:
+            return
+        dom, supports = got
+        links = self._source[3]
+        if injective:  # one more constraint per two elements of a sort: they differ
+            links = [list(held) for held in links]
+            for s, numbers in self._numbers.items():
+                differ = {(x,): other._masks[s] ^ (1 << x) for x in other._numbers[s].values()}
+                link = len(supports)
+                supports.append((differ, differ))
+                for scope in itertools.combinations(numbers.values(), 2):
+                    for v in scope:
+                        links[v].append((scope, link))
+        image = other._elements
+        for value in _search(range(len(dom)), True, dom, [None] * len(dom), links, supports):
+            yield Homomorphism(X, Y, {s: {a: image[value[v]] for a, v in numbers.items()}
+                                      for s, numbers in self._numbers.items()})
 
 
-def _component_maps(comp: list, dom: list, value: list, links: list,
-                    supports: list) -> bool:
-    """Backtracking with forward checking over one component's variables.
-    Narrows `dom` in place, restoring it on every retreat, and leaves the
-    component's values in `value` when it maps."""
-    free = set(comp)
+def _search(todo, ordered: bool, dom: list, value: list, links: list,
+            supports: list) -> Iterator[list]:
+    """Backtracking with forward checking over the variables in `todo`,
+    yielding `value` at each full assignment.  Ordered, the variables go in
+    the order of `todo` and every full assignment is yielded; otherwise the
+    smallest domain goes next and the search stops at the first.  Values go
+    in ascending position.  Narrows `dom` in place and restores it on every
+    retreat."""
+    free = None if ordered else set(todo)
     trail = []  # (variable, domain before a narrowing)
     stack = []  # per variable chosen: [variable, values left, trail mark]
-    while free:
-        v, least = None, 0
-        for u in free:  # the smallest domain; a singleton ends the look
-            size = dom[u].bit_count()
-            if v is None or size < least:
-                v, least = u, size
-                if size == 1:
-                    break
-        free.remove(v)
-        stack.append([v, dom[v], len(trail)])
+    last = len(todo)
+    while True:
+        depth = len(stack)
+        if depth == last:
+            yield value
+            if not ordered:
+                return
+        else:
+            if ordered:
+                v = todo[depth]
+            else:
+                v, least = None, 0
+                for u in free:  # the smallest domain; a singleton ends the look
+                    size = dom[u].bit_count()
+                    if v is None or size < least:
+                        v, least = u, size
+                        if size == 1:
+                            break
+                free.remove(v)
+            stack.append([v, dom[v], len(trail)])
         while stack:  # the next value of the deepest open choice
             top = stack[-1]
             v, left, mark = top
@@ -348,16 +323,16 @@ def _component_maps(comp: list, dom: list, value: list, links: list,
                     u, old = trail.pop()
                     dom[u] = old
                 value[v] = None
-                free.add(v)
+                if free is not None:
+                    free.add(v)
                 stack.pop()
                 continue
             break
         else:
-            return False
-    return True
+            return
 
 
-def _fibers(p: Homomorphism) -> dict:
+def fibers(p: Homomorphism) -> dict:
     """(sort, target element) -> the source elements p sends there."""
     X, Y = p.source, p.target
     return {(s, b): tuple(a for a in X.carrier(s) if p.maps[s][a] == b)
@@ -366,7 +341,7 @@ def _fibers(p: Homomorphism) -> dict:
 
 def find_section(p: Homomorphism) -> Optional[Homomorphism]:
     """Section of p: a homomorphism s with p . s = id on p's target."""
-    return find_hom(p.target, p.source, restrict=_fibers(p))
+    return find_hom(p.target, p.source, restrict=fibers(p))
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +391,23 @@ def local_retraction_check(p: Homomorphism, probes: list) -> LocalRetractionRepo
 
     For every probe G and every homomorphism f: G -> target, a lift
     g: G -> source with p . g = f must exist; the report names the first
-    probe map without one.  A universe decides this for its own members as
-    probes by section search instead (ModelUniverse.locret).
+    probe map without one.  A probe is a structure or its HomPlan, so a
+    family kept as plans (ModelUniverse.plan) builds no tables per call.  A
+    universe decides this for its own members as probes by section search
+    instead (ModelUniverse.locret).
     """
-    X, Y = p.source, p.target
-    fibers = _fibers(p)
+    probes = [G if isinstance(G, HomPlan) else HomPlan(G) for G in probes]
+    plans = {id(P.structure): P for P in probes}
+    source = plans.get(id(p.source)) or HomPlan(p.source)
+    target = plans.get(id(p.target)) or HomPlan(p.target)
+    over = fibers(p)
     maps_checked = 0
-    for G in probes:
-        for f in iter_homs(G, Y):
+    for probe in probes:
+        for f in probe.homs(target):
             maps_checked += 1
-            restrict = {(s, c): fibers[(s, f.maps[s][c])]
-                        for s in G.theory.signature.sorts for c in G.carrier(s)}
-            if find_hom(G, X, restrict=restrict) is None:
-                return LocalRetractionReport("failed", maps_checked, G, f)
+            restrict = {(s, c): over[s, b] for s, m in f.maps.items() for c, b in m.items()}
+            if next(probe.homs(source, restrict=restrict), None) is None:
+                return LocalRetractionReport("failed", maps_checked, probe.structure, f)
     return LocalRetractionReport("passed-up-to-probes", maps_checked, None, None)
 
 

@@ -98,7 +98,7 @@ def _sample(rng, pool, count):
 
 def _probe_family(rng, U, count=3):
     picks = sorted(rng.sample(range(len(U.members)), min(count, len(U.members))))
-    return [U.members[i] for i in picks]
+    return [U.plan(i) for i in picks]
 
 
 def probe_property_suite(seed: int = 20250814) -> SuiteReport:
@@ -137,12 +137,12 @@ def probe_property_suite(seed: int = 20250814) -> SuiteReport:
                 continue
             h = rng.choice(firsts)
             probes = _probe_family(rng, U)
-            if passes_probes(p, probes) and passes_probes(h, probes):
-                rep.check("composition passes probes",
-                          passes_probes(compose(p, h), probes), (name, h.name, p.name))
-            if passes_probes(compose(p, h), probes):
-                rep.check("right factor passes probes",
-                          passes_probes(p, probes), (name, h.name, p.name))
+            p_passes = passes_probes(p, probes)
+            ph_passes = passes_probes(compose(p, h), probes)
+            if p_passes and passes_probes(h, probes):
+                rep.check("composition passes probes", ph_passes, (name, h.name, p.name))
+            if ph_passes:
+                rep.check("right factor passes probes", p_passes, (name, h.name, p.name))
         for p in _sample(rng, pool, PROBE_ROUNDS):
             probes = _probe_family(rng, U) + [p.target]
             if passes_probes(p, probes):
@@ -158,10 +158,10 @@ def probe_property_suite(seed: int = 20250814) -> SuiteReport:
                 rep.check("pullback passes the same probes",
                           passes_probes(p_back, probes), (name, p.name, q.name))
         if "exact_locret_surjection" in U.theory.flags:
+            everyone = [U.plan(i) for i in range(len(U))]
             for p in _sample(rng, pool, PROBE_ROUNDS * 2):
                 rep.check("plain sets: probe pass iff surjective",
-                          passes_probes(p, list(U.members)) == is_surjective(p),
-                          (name, p.name))
+                          passes_probes(p, everyone) == is_surjective(p), (name, p.name))
     return rep
 
 

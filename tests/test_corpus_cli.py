@@ -164,13 +164,13 @@ def test_cli_hom_found_and_missing(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, "hom", str(p2), str(p4))
     assert code2 == 1
     assert "no homomorphism" in out2
-    # f(0)=2 forces 2 before the search reaches 1, so 2 is printed first
+    # each sort's map lists its elements in carrier order
     p3 = tmp_path / "e3.json"
     p3.write_text('{"signature": "end", "carriers": {"el": ["0", "1", "2"]}, '
                   '"functions": {"f": [["0", "2"], ["1", "1"], ["2", "1"]]}}')
     code3, out3, _ = run_cli(capsys, "hom", str(p3), str(p3))
     assert code3 == 0
-    assert out3.splitlines()[1] == "  {'el': {'0': '0', '2': '2', '1': '1'}}"
+    assert out3.splitlines()[1] == "  {'el': {'0': '0', '1': '1', '2': '2'}}"
 
 
 def test_cli_hom_reports_invalid_json(tmp_path, capsys):

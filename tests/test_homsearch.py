@@ -61,7 +61,29 @@ def is_injective(h):
     return all(len(set(m.values())) == len(m) for m in h.maps.values())
 
 
+def random_digraph(rng, name):
+    """At most 5 elements; self-loops come up, so a relation tuple can
+    repeat a variable."""
+    labels = [str(i) for i in range(rng.randrange(6))]
+    density = rng.random()
+    edges = [(a, b) for a in labels for b in labels if rng.random() < density]
+    return make_structure(get_theory("brel"), {"el": labels}, relations={"r": edges},
+                          name=name)
+
+
+def digraph_pairs():
+    """200 seeded random digraphs, each against its neighbour in the list,
+    both ways."""
+    rng = random.Random(20251018)
+    graphs = [random_digraph(rng, f"g{i}") for i in range(200)]
+    assert any((a, a) in G.relations["r"] for G in graphs for a in G.carrier("el"))
+    return [pair for X, Y in zip(graphs, graphs[1:] + graphs[:1]) for pair in ((X, Y), (Y, X))]
+
+
 def test_hom_counts_match_brute_force():
+    """The ordered mode against the brute force, plain and injective, on
+    small corpus pairs, two universes and the seeded random digraphs, whose
+    self-loops repeat a variable in a relation tuple."""
     cases = [
         (chain_poset(2), chain_poset(3)),
         (chain_poset(3), chain_poset(2)),
@@ -76,22 +98,13 @@ def test_hom_counts_match_brute_force():
     for name, k, step in (("cospan", 2, 5), ("remark-locret-2", 2, 1)):
         members = enumerate_models(get_theory(name), k).members[::step]
         cases += [(X, Y) for X in members for Y in members]
+    cases += digraph_pairs()
     for X, Y in cases:
         slow = brute_force_homs(X, Y)
         assert in_carrier_order(enumerate_homs(X, Y)) == in_carrier_order(slow), \
             (X.name, Y.name)
         assert in_carrier_order(enumerate_homs(X, Y, injective=True)) == \
             in_carrier_order([h for h in slow if is_injective(h)]), (X.name, Y.name)
-
-
-def random_digraph(rng, name):
-    """At most 5 elements; self-loops come up, so a relation tuple can
-    repeat a variable."""
-    labels = [str(i) for i in range(rng.randrange(6))]
-    density = rng.random()
-    edges = [(a, b) for a in labels for b in labels if rng.random() < density]
-    return make_structure(get_theory("brel"), {"el": labels}, relations={"r": edges},
-                          name=name)
 
 
 def test_hom_exists_matches_brute_force():
@@ -102,11 +115,7 @@ def test_hom_exists_matches_brute_force():
     for name, k in (("cospan", 2), ("remark-locret-2", 2), ("urel", 2), ("pos", 3)):
         members = enumerate_models(get_theory(name), k).members
         cases += [(X, Y) for X in members for Y in members]
-    rng = random.Random(20251018)
-    graphs = [random_digraph(rng, f"g{i}") for i in range(200)]
-    assert any((a, a) in G.relations["r"] for G in graphs for a in G.carrier("el"))
-    for X, Y in zip(graphs, graphs[1:] + graphs[:1]):
-        cases += [(X, Y), (Y, X)]
+    cases += digraph_pairs()
     for X, Y in cases:
         assert hom_exists(X, Y) == bool(brute_force_homs(X, Y)), (X.name, Y.name)
 
@@ -172,12 +181,21 @@ def test_restrict_prunes_candidates():
         assert h.maps["el"]["0"] == "2"
     # monotone maps from a 2-chain fixing bottom at the top: only constant-2
     assert len(enumerate_homs(X, Y, restrict=pinned)) == 1
-    # element 1 ranges over 2 then 1, against carrier order
+    # element 1 may go to 2 or 1: restrict narrows the values, not their order
     reordered = {("el", "1"): ("2", "1")}
     homs = enumerate_homs(X, Y, restrict=reordered)
     assert in_carrier_order(homs) == \
-        in_carrier_order(brute_force_homs(X, Y, reordered))
-    assert [h.maps["el"]["1"] for h in homs] == ["2", "1", "2", "1", "2"]
+        in_carrier_order(brute_force_homs(X, Y, {("el", "1"): ("1", "2")}))
+    assert [h.maps["el"]["1"] for h in homs] == ["1", "2", "1", "2", "2"]
+
+
+def test_restrict_outside_the_target_carrier_names_element_and_label():
+    with pytest.raises(ValidationError, match="element '0' of sort 'el' to '9'"):
+        enumerate_homs(set_of(1), set_of(1), restrict={("el", "0"): ("9",)})
+    # a label outside the carrier is refused even when a constraint would
+    # also rule the element out
+    with pytest.raises(ValidationError, match="'7'"):
+        find_hom(chain_poset(2), chain_poset(2), restrict={("el", "1"): ("7", "0")})
 
 
 def test_find_section_of_a_collapse():
