@@ -89,9 +89,10 @@ class ModelUniverse:
             self.plan(i).homs(self.plan(j))))
 
     def closed_sub(self, i: int, j: int) -> bool:
-        """Does member i embed into member j as a closed substructure?"""
-        return self._remember(("closed-sub", i, j), lambda: any(
-            is_closed_mono(h) for h in self.plan(i).homs(self.plan(j), injective=True)))
+        """Does member i embed into member j as a closed substructure?  Read
+        from the pair's one hom list; is_closed_mono checks injectivity."""
+        return self._remember(("closed-sub", i, j),
+                              lambda: any(map(is_closed_mono, self.homs(i, j))))
 
     def locret(self, i: int, j: int, rho: Optional[TheoryMorphism] = None) -> bool:
         """Does some homomorphism p: member i -> member j (its reduct along
@@ -457,8 +458,8 @@ def closure_P(mc: ModelClass) -> ModelClass:
     stay inside the universe bound.  The empty product is the terminal model
     and is always added.
 
-    A worklist over binary products, like _grow: each member popped asks for
-    its product with every member of that moment, itself included.  That is
+    A worklist over binary products: each member popped asks for its product
+    with every member of that moment, itself included.  That is
     enough for every bounded product with a bounded pair of factors: the
     pair's product is a member, and multiplying it by the other factors is a
     smaller product with the same result up to isomorphism (products are
@@ -531,18 +532,18 @@ def _wide_products(U: ModelUniverse, S: set):
 
 
 def _grow(mc: ModelClass, edge) -> ModelClass:
-    """Add each non-member c with edge(c, m) for some member m, members added
-    on the way included.  A worklist: each member asks its edge once for
-    every non-member of that moment."""
-    S = set(mc.indices)
-    todo = sorted(S)
-    while todo:
-        m = todo.pop()
-        for c in range(len(mc.universe.members)):
-            if c not in S and edge(c, m):
-                S.add(c)
-                todo.append(c)
-    return mc.with_indices(S)
+    """Add each non-member c with edge(c, m) for some member m, in one pass.
+
+    Every edge passed here is a preorder on the members: closed embeddings,
+    retractions (also of reducts along a theory morphism) and surjections
+    compose, and identities are all three.  So a candidate with an edge to a
+    member added by the pass has one to the original member that member came
+    from, and nothing the pass adds lets another candidate in.  Members are
+    tried in sorted order, so the edges asked for are deterministic."""
+    S = mc.indices
+    members = sorted(S)
+    return mc.with_indices(S.union(c for c in range(len(mc.universe)) if c not in S
+                                   and any(edge(c, m) for m in members)))
 
 
 def closure_Sc(mc: ModelClass) -> ModelClass:

@@ -25,6 +25,7 @@ from .syntax import (
     App,
     Eq,
     ParseError,
+    RESERVED,
     RelAtom,
     Sequent,
     Signature,
@@ -47,8 +48,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_KEYWORDS = {"theory", "sorts", "functions", "relations", "axioms", "flags", "top", "def"}
 
 
 class _Token:
@@ -117,7 +116,7 @@ class _Parser:
 
     def ident(self, what="identifier") -> _Token:
         tok = self.expect("ident")
-        if tok.value in _KEYWORDS:
+        if tok.value in RESERVED:
             self.fail(f"keyword '{tok.value}' cannot be used as {what}", tok)
         return tok
 

@@ -532,22 +532,11 @@ def is_isomorphic(X: PartialStructure, Y: PartialStructure) -> bool:
 
 
 def product(theory: Theory, factors: list, name: str = "") -> PartialStructure:
-    """Finite product; the empty product is the one-point total structure."""
-    sig = theory.signature
-    if not factors:
-        carriers = {s: ("pt",) for s in sig.sorts}
-        functions = {
-            f: {args: "pt" for args in itertools.product(*(("pt",) for _ in argsorts))}
-            for f, (argsorts, _) in sig.functions.items()
-        }
-        relations = {
-            r: {args for args in itertools.product(*(("pt",) for _ in argsorts))}
-            for r, argsorts in sig.relations.items()
-        }
-        return PartialStructure(theory, carriers, functions, relations, name or "pt")
+    """Finite product.  The empty product is the one-point total structure:
+    one element () per sort, every entry defined, every tuple held."""
     carriers = {
         s: tuple(itertools.product(*(F.carrier(s) for F in factors)))
-        for s in sig.sorts
+        for s in theory.signature.sorts
     }
     return _product_on(theory, factors, carriers, name)
 

@@ -194,7 +194,7 @@ def _run_remark_constants(ctx):
     X = nset_structure(3, 2, ("0", "1", "1"))
     Y = nset_structure(3, 1, ("0", "0", "0"))
     p = Homomorphism(X, Y, {"el": {"0": "0", "1": "0"}}, "merge")
-    verdict = local_retraction_check(p, list(U.members))
+    verdict = local_retraction_check(p, [U.plan(i) for i in range(len(U))])
     exact, rule = exact_local_retraction(p)
     E = class_of(U, [X])
     y_idx = U.index[canonical_key(Y)]

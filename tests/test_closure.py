@@ -541,8 +541,7 @@ def tupling_is_closed_mono(X, homs):
     is present in the product is present in X."""
     sig = X.theory.signature
     P = product(X.theory, [h.target for h in homs])
-    maps = {s: {a: tuple(h.maps[s][a] for h in homs) if homs else "pt" for a in X.carrier(s)}
-            for s in sig.sorts}
+    maps = {s: {a: tuple(h.maps[s][a] for h in homs) for a in X.carrier(s)} for s in sig.sorts}
     t = Homomorphism(X, P, maps)
     assert hom_violation(t) is None
     if any(len(set(maps[s].values())) != len(X.carrier(s)) for s in sig.sorts):
@@ -704,11 +703,14 @@ def _reference_edges(U, rho=None):
     }
 
 
-@pytest.mark.parametrize("name,k,rho", [
+PAIR_CASES = [
     ("pos", 3, None), ("pos", 3, "pos-underlying"),
     ("brel", 2, None), ("brel", 2, "pos-to-brel"),
     ("nset-3", 3, None), ("remark-locret-2", 2, None), ("cospan", 2, None),
-])
+]
+
+
+@pytest.mark.parametrize("name,k,rho", PAIR_CASES)
 def test_locret_equals_the_probe_form_on_every_pair(name, k, rho):
     """ModelUniverse.locret searches one section per homomorphism; the probe
     form lifts every map from every member (every member's reduct)."""
@@ -724,6 +726,27 @@ def test_locret_equals_the_probe_form_on_every_pair(name, k, rho):
         assert U.locret(i, j, rho) == probed, (i, j)
         held += probed
     assert 0 < held < n * n
+
+
+@pytest.mark.parametrize("name,k,rho", PAIR_CASES)
+def test_grow_edges_are_preorders(name, k, rho):
+    """The grow closures add in one pass what rounds to a fixpoint would
+    add, because each edge they read is reflexive and transitive on the
+    members: closed substructures, local retractions (along rho, when one
+    is given) and surjective images."""
+    U = enumerate_models(get_theory(name), k)
+    if rho is None:
+        relations = {"closed-sub": U.closed_sub, "locret": U.locret,
+                     "surjective-image": lambda i, j: any(map(is_surjective, U.homs(i, j)))}
+    else:
+        rho = get_morphism(rho)
+        relations = {"locret": lambda i, j: U.locret(i, j, rho)}
+    n = len(U)
+    for label, relation in relations.items():
+        held = [[relation(i, j) for j in range(n)] for i in range(n)]
+        assert all(held[i][i] for i in range(n)), label
+        for a, b, c in itertools.product(range(n), repeat=3):
+            assert held[a][c] or not (held[a][b] and held[b][c]), (label, a, b, c)
 
 
 def _check_grow_closures(U, classes, rho=None):
