@@ -23,16 +23,17 @@ from dataclasses import dataclass, field
 from operator import getitem
 from typing import Optional
 
-from .homsearch import HomPlan, fibers, find_section
+from .homsearch import HomPlan, fibers
 from .structures import (
     RELABEL_BUDGET,
+    Homomorphism,
     PartialStructure,
     canonical_key,
     is_closed_mono,
     is_surjective,
     jointly_closed_mono,
     product,
-    reduct_hom,
+    reduct,
     sequent_witness,
     structure_from_json,
     structure_size,
@@ -80,9 +81,10 @@ class ModelUniverse:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def plan(self, i: int) -> HomPlan:
-        """Member i's hom search tables, shared by every search it is in."""
-        return self._remember(("plan", i), lambda: HomPlan(self.members[i]))
+    def plan(self, i: int, rho: Optional[TheoryMorphism] = None) -> HomPlan:
+        """Member i's (its reduct's along rho) hom search tables, shared by every search."""
+        return self._remember(("plan", i, None if rho is None else rho.name), lambda: HomPlan(
+            self.members[i] if rho is None else reduct(rho, self.members[i])))
 
     def homs(self, i: int, j: int) -> list:
         return self._remember(("homs", i, j), lambda: list(
@@ -104,9 +106,10 @@ class ModelUniverse:
         of p, while a section s lifts every probe map f as s . f.  So one
         section search per homomorphism decides it."""
         def has_section(p):
-            if rho is not None:
-                return find_section(reduct_hom(rho, p)) is not None
-            return next(self.plan(j).homs(self.plan(i), restrict=fibers(p)), None) is not None
+            source, target = self.plan(i, rho), self.plan(j, rho)
+            seen = p if rho is None else Homomorphism(source.structure, target.structure, {
+                s: p.maps[rho.sort_map[s]] for s in rho.source.signature.sorts})
+            return next(target.homs(source, restrict=fibers(seen)), None) is not None
         return self._remember(("locret", i, j, None if rho is None else rho.name),
                               lambda: any(map(has_section, self.homs(i, j))))
 
@@ -552,6 +555,9 @@ def closure_Sc(mc: ModelClass) -> ModelClass:
 
 def closure_Hloc(mc: ModelClass, rho: Optional[TheoryMorphism] = None) -> ModelClass:
     U = mc.universe
+    if rho is not None and rho.target.name != U.theory.name:
+        raise ValidationError(f"theory morphism '{rho.name}' has target '{rho.target.name}', "
+                              f"not the universe's theory '{U.theory.name}'")
     return _grow(mc, lambda c, m: U.locret(m, c, rho))
 
 
@@ -575,12 +581,9 @@ def product_embedding_closure(mc: ModelClass) -> ModelClass:
     product), so the composite is decided per candidate by the separating
     criterion of embeds_in_product.
     """
-    U = mc.universe
-    S = set(mc.indices)
-    for i in range(len(U.members)):
-        if i not in S and embeds_in_product(U, i, mc.indices):
-            S.add(i)
-    return mc.with_indices(S)
+    U, S = mc.universe, mc.indices
+    return mc.with_indices(S.union(i for i in range(len(U)) if i not in S
+                                   and embeds_in_product(U, i, S)))
 
 
 def surjective_image_closure(mc: ModelClass) -> ModelClass:
@@ -591,6 +594,8 @@ def surjective_image_closure(mc: ModelClass) -> ModelClass:
 
 @dataclass
 class HspResult:
+    """growth's one possible key is "closed-sub-of-product", the operator
+    hsp_closure re-applies; its list holds all that P or Sc would add."""
     model_class: ModelClass
     fixpoint: bool
     growth: dict  # operator name -> indices that appeared on re-application
@@ -602,18 +607,16 @@ def hsp_closure(mc: ModelClass, rho: Optional[TheoryMorphism] = None) -> HspResu
 
     The inner two stages run jointly (product_embedding_closure) so that
     closed subs of over-bound products are not lost; see that docstring.
+    Re-applying that joint operator checks all three.  For every class C,
+    closure_P(C) and closure_Sc(C) lie within it: the projections of a
+    bounded product and a closed embedding into a member are among the homs
+    whose tupling embeds_in_product tests, and the terminal model passes
+    jointly_closed_mono with none.  All are extensive, so P and Sc cannot
+    grow where it does not.  Hloc is one _grow pass over a preorder: idempotent.
     """
     out = closure_Hloc(product_embedding_closure(mc), rho)
-    growth = {}
-    for name, op in (
-        ("product", closure_P),
-        ("closed-sub", closure_Sc),
-        ("closed-sub-of-product", product_embedding_closure),
-        ("local-retraction", lambda c: closure_Hloc(c, rho)),
-    ):
-        again = op(out)
-        if again.indices != out.indices:
-            growth[name] = sorted(again.indices - out.indices)
+    added = product_embedding_closure(out).indices - out.indices
+    growth = {"closed-sub-of-product": sorted(added)} if added else {}
     return HspResult(out, not growth, growth)
 
 

@@ -381,10 +381,6 @@ def hom_violation(h: Homomorphism) -> Optional[str]:
     return None
 
 
-def is_homomorphism(h: Homomorphism) -> bool:
-    return hom_violation(h) is None
-
-
 def is_surjective(h: Homomorphism) -> bool:
     for s in h.source.theory.signature.sorts:
         if set(h.maps[s].values()) != set(h.target.carrier(s)):

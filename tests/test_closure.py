@@ -778,3 +778,75 @@ def test_grow_closures_match_naive_reference_on_brel():
                for p in (0.1, 0.2, 0.35) for _ in range(40)]
     _check_grow_closures(U, classes)
     _check_grow_closures(U, classes, get_morphism("pos-to-brel"))
+
+
+# ---------------------------------------------------------------------------
+# hsp_closure checks its fixpoint by re-applying the joint operator alone
+
+
+HSP_SWEEP = [("urel", 2), ("pos", 3), ("nset-3", 3), ("remark-locret-2", 2),
+             ("cospan", 2), ("chaincov-3", 2)]
+
+
+def _sweep_classes(U, name):
+    """Every class of a universe of at most 10 members, else 60 seeded ones."""
+    if len(U) <= 10:
+        return list(_every_class(U))
+    rng = random.Random(f"hsp-sweep-{name}")
+    return [frozenset(i for i in range(len(U)) if rng.random() < 0.25) for _ in range(60)]
+
+
+@pytest.mark.parametrize("name,k", HSP_SWEEP)
+def test_products_and_closed_subs_lie_within_the_joint_closure(name, k):
+    U = enumerate_models(get_theory(name), k)
+    for idx in _sweep_classes(U, name):
+        mc = ModelClass(U, idx)
+        joint = product_embedding_closure(mc).indices
+        assert closure_P(mc).indices <= joint, sorted(idx)
+        assert closure_Sc(mc).indices <= joint, sorted(idx)
+
+
+def _four_operator_hsp(mc, rho=None):
+    """The fixpoint check that re-applies every operator to the result."""
+    out = closure_Hloc(product_embedding_closure(mc), rho)
+    growth = {}
+    for name, op in (("product", closure_P), ("closed-sub", closure_Sc),
+                     ("closed-sub-of-product", product_embedding_closure),
+                     ("local-retraction", lambda c: closure_Hloc(c, rho))):
+        again = op(out).indices
+        if again != out.indices:
+            growth[name] = sorted(again - out.indices)
+    return out.indices, not growth, growth
+
+
+@pytest.mark.parametrize("name,k,rho", [(name, k, None) for name, k in HSP_SWEEP]
+                         + [("pos", 3, "pos-underlying")])
+def test_hsp_closure_matches_the_four_operator_check(name, k, rho):
+    U = enumerate_models(get_theory(name), k)
+    rho = rho and get_morphism(rho)
+    for idx in _sweep_classes(U, name):
+        res = hsp_closure(ModelClass(U, idx), rho)
+        assert ((res.model_class.indices, res.fixpoint, res.growth)
+                == _four_operator_hsp(ModelClass(U, idx), rho)), sorted(idx)
+
+
+def test_hsp_closure_reports_what_the_joint_operator_grows(monkeypatch):
+    """A first stage that also adds the marked pair leaves out two closed
+    subs of products: the plain point, a closed sub of the marked pair, and
+    the plain pair, which only a product reaches."""
+    U = enumerate_models(get_theory("urel"), 2)
+    by_profile = {(structure_size(X), len(X.relations["mark"])): i
+                  for i, X in enumerate(U.members)}
+    marked_pair, plain_pt, plain_pair = by_profile[(2, 1)], by_profile[(1, 0)], by_profile[(2, 0)]
+    stage = closure.closure_Hloc
+
+    def short_stage(mc, rho=None):
+        got = stage(mc, rho)
+        return got.with_indices(got.indices | {marked_pair})
+
+    monkeypatch.setattr(closure, "closure_Hloc", short_stage)
+    res = hsp_closure(ModelClass(U, frozenset([by_profile[(1, 1)]])))
+    assert res.model_class.indices == {by_profile[(0, 0)], by_profile[(1, 1)], marked_pair}
+    assert not res.fixpoint
+    assert res.growth == {"closed-sub-of-product": sorted([plain_pt, plain_pair])}
+    assert plain_pair not in closure_Sc(res.model_class).indices

@@ -229,6 +229,17 @@ def test_cli_bad_class_spec_returns_1_in_process(capsys, spec, line):
     assert err == line + "\n"
 
 
+@pytest.mark.parametrize("spec", ["all", "members:0"])
+def test_cli_closure_refuses_a_rho_into_another_theory(capsys, spec):
+    """pos-to-brel has target brel, so it cannot probe pos models."""
+    code, out, err = run_cli(capsys, "closure", "pos", "--max-size", "2", "--class", spec,
+                             "--rho", "pos-to-brel")
+    assert code == 1
+    assert out == ""
+    assert err == ("theory morphism 'pos-to-brel' has target 'brel', "
+                   "not the universe's theory 'pos'\n")
+
+
 def test_cli_acc_witness(capsys):
     code, out, _ = run_cli(capsys, "acc", "lattice-chain", "--horizon", "4")
     assert code == 0

@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phl"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "phl"
 
 
 def test_package_has_no_assert_statements():
@@ -25,3 +27,16 @@ def test_package_raises_no_system_exit_but_at_the_cli_entry_point():
             if isinstance(node, ast.Raise) and "SystemExit" in ast.unparse(node):
                 found.append((path.name, ast.get_source_segment(source, node)))
     assert found == [("cli.py", "raise SystemExit(main())")]
+
+
+def test_every_traced_name_exists_in_its_module():
+    """bench/tracing.py wraps each name WRAPPED lists by getattr on its phl
+    module, so a name deleted or renamed there breaks every traced run."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(short, name) for short, names in tracing.WRAPPED.items() for name in names]
+    assert names
+    missing = [f"phl.{short}.{name}" for short, name in names
+               if not callable(getattr(importlib.import_module(f"phl.{short}"), name, None))]
+    assert missing == []

@@ -29,7 +29,6 @@ from phl.structures import (
     hom_violation,
     identity_hom,
     is_closed_mono,
-    is_homomorphism,
     is_iso,
     is_isomorphic,
     is_model,
