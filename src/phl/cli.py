@@ -20,14 +20,13 @@ from .closure import (
 from .corpus import get_chain, get_morphism, get_theory, list_corpus
 from .homsearch import enumerate_homs, find_hom
 from .parser import parse_sequents, parse_theory
-from .report import all_match, emit_report, run_targets, summary_line
+from .report import all_match, emit_report, run_targets
 from .sigma import acc_probe, sigma_of_structures
 from .structures import (
     structure_from_json,
-    structure_size,
     structure_to_json,
 )
-from .syntax import PhlError, print_sequent, print_theory
+from .syntax import PhlError, print_theory
 from .targets import RunContext, TARGETS, all_tags, get_target, targets_with_tag
 
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from operator import getitem
 from typing import Optional
 
-from .homsearch import HomPlan, fibers
+from .homsearch import HomPlan
 from .structures import (
     RELABEL_BUDGET,
-    Homomorphism,
     PartialStructure,
     canonical_key,
     is_closed_mono,
@@ -86,15 +85,11 @@ class ModelUniverse:
         return self._remember(("plan", i, None if rho is None else rho.name), lambda: HomPlan(
             self.members[i] if rho is None else reduct(rho, self.members[i])))
 
-    def homs(self, i: int, j: int) -> list:
-        return self._remember(("homs", i, j), lambda: list(
-            self.plan(i).homs(self.plan(j))))
-
     def closed_sub(self, i: int, j: int) -> bool:
-        """Does member i embed into member j as a closed substructure?  Read
-        from the pair's one hom list; is_closed_mono checks injectivity."""
-        return self._remember(("closed-sub", i, j),
-                              lambda: any(map(is_closed_mono, self.homs(i, j))))
+        """Does member i embed into member j as a closed substructure?  The
+        injective search stops at the first hom that is_closed_mono accepts."""
+        return self._remember(("closed-sub", i, j), lambda: any(map(
+            is_closed_mono, self.plan(i).homs(self.plan(j), injective=True))))
 
     def locret(self, i: int, j: int, rho: Optional[TheoryMorphism] = None) -> bool:
         """Does some homomorphism p: member i -> member j (its reduct along
@@ -103,15 +98,18 @@ class ModelUniverse:
 
         That is retraction existence in disguise: member j (its reduct) is
         one of the probes, and lifting its identity through p is a section
-        of p, while a section s lifts every probe map f as s . f.  So one
-        section search per homomorphism decides it."""
-        def has_section(p):
-            source, target = self.plan(i, rho), self.plan(j, rho)
-            seen = p if rho is None else Homomorphism(source.structure, target.structure, {
-                s: p.maps[rho.sort_map[s]] for s in rho.source.signature.sorts})
-            return next(target.homs(source, restrict=fibers(seen)), None) is not None
-        return self._remember(("locret", i, j, None if rho is None else rho.name),
-                              lambda: any(map(has_section, self.homs(i, j))))
+        of p, while a section s lifts every probe map f as s . f.  So for
+        each injective s one search asks for a p with p(s(y)) = y, which
+        must agree on sorts that rho sends onto one."""
+        def retracts(s):
+            back = {}
+            for t, m in s.maps.items():
+                u = t if rho is None else rho.sort_map[t]
+                for y, x in m.items():
+                    back[u, x] = back.get((u, x), {y}) & {y}
+            return next(self.plan(i).homs(self.plan(j), restrict=back), None) is not None
+        return self._remember(("locret", i, j, None if rho is None else rho.name), lambda: any(
+            map(retracts, self.plan(j, rho).homs(self.plan(i, rho), injective=True))))
 
     def sizes(self) -> list:
         """The carrier sizes of each member, in signature sort order."""
@@ -567,9 +565,11 @@ def embeds_in_product(U: ModelUniverse, i: int, targets) -> bool:
 
     It does iff the tupling of all homomorphisms from i into the targets is
     one (jointly_closed_mono), which sees closed subs whose parent product
-    is bigger than the universe bound.
+    is bigger than the universe bound.  The homs are searched lazily, and
+    the answer is kept per class of targets (hsp_closure asks twice).
     """
-    return jointly_closed_mono(U.members[i], [h for j in sorted(targets) for h in U.homs(i, j)])
+    return U._remember(("embeds", i, frozenset(targets)), lambda: jointly_closed_mono(
+        U.members[i], (h for j in sorted(targets) for h in U.plan(i).homs(U.plan(j)))))
 
 
 def product_embedding_closure(mc: ModelClass) -> ModelClass:
@@ -589,7 +589,7 @@ def product_embedding_closure(mc: ModelClass) -> ModelClass:
 def surjective_image_closure(mc: ModelClass) -> ModelClass:
     """Plain surjective images, for contrast with local retractions."""
     U = mc.universe
-    return _grow(mc, lambda c, m: any(is_surjective(p) for p in U.homs(m, c)))
+    return _grow(mc, lambda c, m: any(map(is_surjective, U.plan(m).homs(U.plan(c)))))
 
 
 @dataclass

@@ -393,7 +393,7 @@ def local_retraction_check(p: Homomorphism, probes: list) -> LocalRetractionRepo
     g: G -> source with p . g = f must exist; the report names the first
     probe map without one.  A probe is a structure or its HomPlan, so a
     family kept as plans (ModelUniverse.plan) builds no tables per call.  A
-    universe decides this for its own members as probes by section search
+    universe decides this for its own members as probes by retract search
     instead (ModelUniverse.locret).
     """
     probes = [G if isinstance(G, HomPlan) else HomPlan(G) for G in probes]

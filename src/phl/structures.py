@@ -16,14 +16,12 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .canonical import least_relabeling
 from .syntax import (
     And,
-    App,
     BudgetError,
-    Eq,
     Formula,
     RelAtom,
     Sequent,
@@ -388,7 +386,7 @@ def is_surjective(h: Homomorphism) -> bool:
     return True
 
 
-def jointly_closed_mono(X: PartialStructure, homs: list) -> bool:
+def jointly_closed_mono(X: PartialStructure, homs: Iterable) -> bool:
     """Is the tupling of `homs`, all homomorphisms out of X, a closed mono
     into the product of their targets?
 
@@ -397,23 +395,30 @@ def jointly_closed_mono(X: PartialStructure, homs: list) -> bool:
     image entry is undefined in that target), and some homomorphism
     witnesses each absent relation tuple.  The product is never built, so
     this decides closed embeddings into products of any size.  With no
-    homomorphisms the product is the one-point total structure.
+    homomorphisms the product is the one-point total structure.  `homs` is
+    read once, and only until every obligation is discharged.
     """
     sig = X.theory.signature
-    for s in sig.sorts:
-        for a, b in itertools.combinations(X.carrier(s), 2):
-            if all(h.maps[s][a] == h.maps[s][b] for h in homs):
-                return False
     symbols = [("functions", f, argsorts) for f, (argsorts, _) in sig.functions.items()]
     symbols += [("relations", r, argsorts) for r, argsorts in sig.relations.items()]
-    for kind, name, argsorts in symbols:
-        held = getattr(X, kind).get(name, ())
-        for args in itertools.product(*(X.carrier(s) for s in argsorts)):
-            if args not in held and all(
-                    tuple(h.maps[s][a] for s, a in zip(argsorts, args))
-                    in getattr(h.target, kind).get(name, ()) for h in homs):
-                return False
-    return True
+    # (kind, name, sorts, elements); kind None asks to separate two elements
+    todo = [(None, None, (s, s), pair) for s in sig.sorts
+            for pair in itertools.combinations(X.carrier(s), 2)]
+    todo += [(kind, name, argsorts, args) for kind, name, argsorts in symbols
+             for args in itertools.product(*(X.carrier(s) for s in argsorts))
+             if args not in getattr(X, kind).get(name, ())]
+
+    def still_open(h, kind, name, sorts, elements):
+        image = tuple(h.maps[s][a] for s, a in zip(sorts, elements))
+        if kind is None:
+            return image[0] == image[1]
+        return image in getattr(h.target, kind).get(name, ())
+
+    for h in homs if todo else ():
+        todo = [obligation for obligation in todo if still_open(h, *obligation)]
+        if not todo:
+            break
+    return not todo
 
 
 def is_closed_mono(h: Homomorphism) -> bool:
@@ -512,15 +517,6 @@ def canonical_key(X: PartialStructure) -> str:
         )
         parts.append(tuple(tuples))
     return repr(parts)
-
-
-def is_isomorphic(X: PartialStructure, Y: PartialStructure) -> bool:
-    if X.theory.signature is not Y.theory.signature and X.theory.name != Y.theory.name:
-        return False
-    for s in X.theory.signature.sorts:
-        if len(X.carrier(s)) != len(Y.carrier(s)):
-            return False
-    return canonical_key(X) == canonical_key(Y)
 
 
 # ---------------------------------------------------------------------------

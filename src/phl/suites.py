@@ -86,7 +86,7 @@ def _hom_pool(U):
     n = len(U.members)
     for i in range(n):
         for j in range(n):
-            pool.extend(U.homs(i, j))
+            pool.extend(U.plan(i).homs(U.plan(j)))
     return pool
 
 
@@ -240,7 +240,7 @@ def sigma_invariant_suite(seed: int = 20250814) -> SuiteReport:
         right = poset_product(condense_sigma(qa), condense_sigma(qb))
         rep.check("components respect binary products",
                   poset_iso(left, right), (qa.labels[:2], qb.labels[:2]))
-    from .sigma import HomQuiver, lower_sets
+    from .sigma import HomQuiver
     for n in range(1, 5):
         anti = HomQuiver([f"a{i}" for i in range(n)],
                          [[i == j for j in range(n)] for i in range(n)])
@@ -265,11 +265,3 @@ def sigma_invariant_suite(seed: int = 20250814) -> SuiteReport:
             rep.check("generators are an antichain generating the set",
                       antichain and closure == set(S), (q.labels, si))
     return rep
-
-
-def run_all_suites(seed: int = 20250814) -> list:
-    return [
-        probe_property_suite(seed),
-        definable_fixpoint_suite(seed),
-        sigma_invariant_suite(seed),
-    ]

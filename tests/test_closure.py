@@ -36,15 +36,15 @@ from phl.structures import (
     canonical_key,
     hom_violation,
     interpreted_witness,
-    is_isomorphic,
     is_surjective,
+    jointly_closed_mono,
     product,
     reduct,
     reduct_hom,
     structure_size,
     structure_to_json,
 )
-from phl.syntax import BudgetError
+from phl.syntax import BudgetError, TheoryMorphism
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +575,23 @@ def test_embeds_in_product_matches_the_built_product(name):
     assert len(verdicts) > 2 * n and True in verdicts and False in verdicts
 
 
+@pytest.mark.parametrize("name,k", [("urel", 2), ("pos", 3), ("nset-3", 3), ("cospan", 2)])
+def test_jointly_closed_mono_reads_a_one_shot_iterator(name, k):
+    """On every pair of members, the homs between them passed as iter(homs)
+    get the answer the list gets, and are pulled only until the prefix
+    read discharges every obligation (all of them when the answer is no)."""
+    U = enumerate_models(get_theory(name), k)
+    for X, Y in itertools.product(U.members, repeat=2):
+        homs = enumerate_homs(X, Y)
+        answer = jointly_closed_mono(X, homs)
+        stream = iter(homs)
+        assert jointly_closed_mono(X, stream) == answer, (X.name, Y.name)
+        pulled = len(homs) - len(list(stream))
+        needed = len(homs) if not answer else next(
+            n for n in range(len(homs) + 1) if jointly_closed_mono(X, homs[:n]))
+        assert pulled == needed, (X.name, Y.name)
+
+
 def test_embeds_in_product_sees_overbound_parents():
     """A closed sub of a product can be found even when the product itself
     exceeds the universe bound."""
@@ -690,6 +707,19 @@ def _naive_grow(indices, edges):
         S |= new
 
 
+SORTS_ONTO_ONE = "t-onto-end"
+
+
+def _morphism(name):
+    """A corpus morphism, or the test-local one that sends the two sorts of
+    t onto the one sort of end (a, b -> el, g -> f), which no corpus
+    morphism does."""
+    if name != SORTS_ONTO_ONE:
+        return get_morphism(name)
+    t = parse_theory("theory t { sorts a, b; functions g : a -> b; }")
+    return TheoryMorphism(name, t, get_theory("end"), {"a": "el", "b": "el"}, {"g": "f"}, {})
+
+
 def _reference_edges(U, rho=None):
     probes = U.members if rho is None else [reduct(rho, X) for X in U.members]
     see = (lambda p: p) if rho is None else (lambda p: reduct_hom(rho, p))
@@ -710,12 +740,14 @@ PAIR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,k,rho", PAIR_CASES)
+@pytest.mark.parametrize("name,k,rho", PAIR_CASES + [("end", 3, SORTS_ONTO_ONE)])
 def test_locret_equals_the_probe_form_on_every_pair(name, k, rho):
-    """ModelUniverse.locret searches one section per homomorphism; the probe
-    form lifts every map from every member (every member's reduct)."""
+    """ModelUniverse.locret searches one retraction per injective section;
+    the probe form lifts every map from every member (every member's
+    reduct).  Along t-onto-end the two sorts of a section must agree on
+    where the retraction sends each element of end."""
     U = enumerate_models(get_theory(name), k)
-    rho = rho and get_morphism(rho)
+    rho = rho and _morphism(rho)
     probes = U.members if rho is None else [reduct(rho, X) for X in U.members]
     see = (lambda p: p) if rho is None else (lambda p: reduct_hom(rho, p))
     n = len(U.members)
@@ -737,7 +769,8 @@ def test_grow_edges_are_preorders(name, k, rho):
     U = enumerate_models(get_theory(name), k)
     if rho is None:
         relations = {"closed-sub": U.closed_sub, "locret": U.locret,
-                     "surjective-image": lambda i, j: any(map(is_surjective, U.homs(i, j)))}
+                     "surjective-image": lambda i, j: any(map(
+                         is_surjective, U.plan(i).homs(U.plan(j))))}
     else:
         rho = get_morphism(rho)
         relations = {"locret": lambda i, j: U.locret(i, j, rho)}

@@ -40,3 +40,20 @@ def test_every_traced_name_exists_in_its_module():
     missing = [f"phl.{short}.{name}" for short, name in names
                if not callable(getattr(importlib.import_module(f"phl.{short}"), name, None))]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """An import no code reads hides what a module depends on.  __init__.py
+    is exempt: it imports to re-export."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                found += [f"{path.name}:{name}" for name in bound if name not in read]
+    assert found == []

@@ -30,7 +30,6 @@ from phl.structures import (
     identity_hom,
     is_closed_mono,
     is_iso,
-    is_isomorphic,
     is_model,
     make_structure,
     product,
@@ -220,7 +219,7 @@ def test_is_model_invariant_under_isomorphism():
     X = urel_of(3, ["0", "2"])
     Y = make_structure(th, {"el": ("p", "q", "r")},
                        relations={"mark": {("q",), ("r",)}})
-    assert is_isomorphic(X, Y)
+    assert canonical_key(X) == canonical_key(Y)
     assert is_model(X) == is_model(Y)
 
 
@@ -251,7 +250,7 @@ def test_disjoint_union_with_empty_is_identity_up_to_iso():
     M = set_of(3)
     E = make_structure(th, {"el": ()})
     U, _ = disjoint_union(th, [M, E])
-    assert is_isomorphic(U, M)
+    assert canonical_key(U) == canonical_key(M)
 
 
 def test_disjoint_union_refused_without_flag():
@@ -267,7 +266,7 @@ def test_json_round_trip():
     d = structure_to_json(X)
     Y = structure_from_json(d, th)
     validate_structure(Y)
-    assert is_isomorphic(X, Y)
+    assert canonical_key(X) == canonical_key(Y)
     assert structure_to_json(Y) == d
 
 
