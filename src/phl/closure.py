@@ -565,11 +565,10 @@ def embeds_in_product(U: ModelUniverse, i: int, targets) -> bool:
 
     It does iff the tupling of all homomorphisms from i into the targets is
     one (jointly_closed_mono), which sees closed subs whose parent product
-    is bigger than the universe bound.  The homs are searched lazily, and
-    the answer is kept per class of targets (hsp_closure asks twice).
+    is bigger than the universe bound.  The homs are searched lazily.
     """
-    return U._remember(("embeds", i, frozenset(targets)), lambda: jointly_closed_mono(
-        U.members[i], (h for j in sorted(targets) for h in U.plan(i).homs(U.plan(j)))))
+    return jointly_closed_mono(
+        U.members[i], (h for j in sorted(targets) for h in U.plan(i).homs(U.plan(j))))
 
 
 def product_embedding_closure(mc: ModelClass) -> ModelClass:

@@ -399,26 +399,29 @@ def jointly_closed_mono(X: PartialStructure, homs: Iterable) -> bool:
     read once, and only until every obligation is discharged.
     """
     sig = X.theory.signature
+    read, fresh = [], iter(homs)
+
+    def replay():
+        """The homs read so far, then more from the stream, each read once."""
+        yield from read
+        for h in fresh:
+            read.append(h)
+            yield h
+
+    for s in sig.sorts:
+        for a, b in itertools.combinations(X.carrier(s), 2):
+            if all(h.maps[s][a] == h.maps[s][b] for h in replay()):
+                return False
     symbols = [("functions", f, argsorts) for f, (argsorts, _) in sig.functions.items()]
     symbols += [("relations", r, argsorts) for r, argsorts in sig.relations.items()]
-    # (kind, name, sorts, elements); kind None asks to separate two elements
-    todo = [(None, None, (s, s), pair) for s in sig.sorts
-            for pair in itertools.combinations(X.carrier(s), 2)]
-    todo += [(kind, name, argsorts, args) for kind, name, argsorts in symbols
-             for args in itertools.product(*(X.carrier(s) for s in argsorts))
-             if args not in getattr(X, kind).get(name, ())]
-
-    def still_open(h, kind, name, sorts, elements):
-        image = tuple(h.maps[s][a] for s, a in zip(sorts, elements))
-        if kind is None:
-            return image[0] == image[1]
-        return image in getattr(h.target, kind).get(name, ())
-
-    for h in homs if todo else ():
-        todo = [obligation for obligation in todo if still_open(h, *obligation)]
-        if not todo:
-            break
-    return not todo
+    for kind, name, argsorts in symbols:
+        held = getattr(X, kind).get(name, ())
+        for args in itertools.product(*(X.carrier(s) for s in argsorts)):
+            if args not in held and all(
+                    tuple(h.maps[s][a] for s, a in zip(argsorts, args))
+                    in getattr(h.target, kind).get(name, ()) for h in replay()):
+                return False
+    return True
 
 
 def is_closed_mono(h: Homomorphism) -> bool:
