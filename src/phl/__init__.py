@@ -58,7 +58,6 @@ from .structures import (
     eval_term,
     is_closed_mono,
     is_model,
-    load_structure,
     make_structure,
     product,
     pullback,

@@ -6,6 +6,8 @@ its component poset, run the closure composite on a class, probe a chain
 for stabilization, and run the reproduction targets.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import os

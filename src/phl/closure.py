@@ -335,19 +335,21 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None) ->
 UNIVERSE_CACHE_FORMAT = 1
 
 
-def universe_cache_path(theory: Theory, k: int, cache_dir: str) -> str:
-    return os.path.join(cache_dir, f"{theory.name}-{theory_hash(theory)}-k{k}.jsonl")
+def universe_cache_file(theory: Theory, k: int, cache_dir: str) -> tuple:
+    """The cache file's path and the theory hash its header carries."""
+    digest = theory_hash(theory)
+    return os.path.join(cache_dir, f"{theory.name}-{digest}-k{k}.jsonl"), digest
 
 
 def save_universe(U: ModelUniverse, cache_dir: str) -> str:
     """Write the cache file whole: readers see the old file or the new one."""
     os.makedirs(cache_dir, exist_ok=True)
-    path = universe_cache_path(U.theory, U.k, cache_dir)
+    path, digest = universe_cache_file(U.theory, U.k, cache_dir)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps({"format": UNIVERSE_CACHE_FORMAT, "theory": U.theory.name,
-                                 "hash": theory_hash(U.theory), "k": U.k,
+                                 "hash": digest, "k": U.k,
                                  "members": len(U.members)}) + "\n")
             for key, X in zip(U.keys, U.members):
                 fh.write(json.dumps({"key": key, "structure": structure_to_json(X)},
@@ -368,7 +370,7 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
     an object, fewer or more rows than its header counts, a row without a
     string key and a valid structure, or two rows with one key) are misses
     with a warning on stderr, so enumerate_models rebuilds them."""
-    path = universe_cache_path(theory, k, cache_dir)
+    path, digest = universe_cache_file(theory, k, cache_dir)
     if not os.path.exists(path):
         return None
     lines = []
@@ -387,7 +389,7 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
     if head.get("format") != UNIVERSE_CACHE_FORMAT:
         return _damaged_cache(path, f"cache format {head.get('format', 'absent')}, "
                                     f"expected {UNIVERSE_CACHE_FORMAT}")
-    if head.get("hash") != theory_hash(theory) or head.get("k") != k:
+    if head.get("hash") != digest or head.get("k") != k:
         return None
     if head.get("members") != len(lines) - 1:
         return _damaged_cache(path, f"the header counts {head.get('members')} members "

@@ -7,6 +7,8 @@ runtime fields.  Targets run one after another in target-name order; the
 work is pure-Python computation, which threads would not overlap.
 """
 
+from __future__ import annotations
+
 import json
 import time
 

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .corpus import get_theory
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -22,7 +23,7 @@ from .groups import (
     subgroup_label,
 )
 from .homsearch import HomPlan
-from .structures import ChainRecipe
+from .structures import ChainRecipe, make_structure
 from .syntax import BudgetError, ValidationError
 
 
@@ -101,55 +102,21 @@ def is_chain(P: SigmaPoset) -> bool:
     return all((i, j) in P.leq or (j, i) in P.leq for i in range(n) for j in range(n))
 
 
-ISO_BUDGET = 200_000  # candidate placements one poset_iso may try
-
-
 def poset_iso(P: SigmaPoset, Q: SigmaPoset) -> bool:
-    """Backtracking isomorphism test; candidates are pruned by up/down
-    degree so only same-signature elements are ever matched.  Past
-    ISO_BUDGET placements it raises BudgetError."""
-    n = len(P)
-    if n != len(Q):
+    """Whether P and Q are isomorphic: one search for an injective monotone
+    map, with both posets read as brel structures.  Between finite posets
+    of one size an injective map is a bijection, and it sends distinct
+    related pairs to distinct related pairs; when both have as many
+    related pairs, those images are all of Q's, so the map reflects the
+    order and is an isomorphism."""
+    if len(P) != len(Q) or len(P.leq) != len(Q.leq):
         return False
 
-    def degrees(R):
-        return [
-            (sum(1 for j in range(n) if (i, j) in R.leq),
-             sum(1 for j in range(n) if (j, i) in R.leq))
-            for i in range(n)
-        ]
+    def plan(R):
+        return HomPlan(make_structure(get_theory("brel"), {"el": range(len(R))},
+                                      relations={"r": R.leq}))
 
-    dp, dq = degrees(P), degrees(Q)
-    if sorted(dp) != sorted(dq):
-        return False
-    candidates = [[j for j in range(n) if dq[j] == dp[i]] for i in range(n)]
-    image = [-1] * n
-    used = [False] * n
-    steps = 0
-
-    def place(i):
-        nonlocal steps
-        if i == n:
-            return True
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            steps += 1
-            if steps > ISO_BUDGET:
-                raise BudgetError(f"poset isomorphism search past {ISO_BUDGET} steps")
-            if any(((a, i) in P.leq) != ((image[a], j) in Q.leq)
-                   or ((i, a) in P.leq) != ((j, image[a]) in Q.leq)
-                   for a in range(i)):
-                continue
-            image[i] = j
-            used[j] = True
-            if place(i + 1):
-                return True
-            used[j] = False
-            image[i] = -1
-        return False
-
-    return place(0)
+    return next(plan(P).homs(plan(Q), injective=True), None) is not None
 
 
 def poset_product(P: SigmaPoset, Q: SigmaPoset) -> SigmaPoset:

@@ -771,11 +771,6 @@ def structure_from_json(d: dict, theory: Theory) -> PartialStructure:
     return X
 
 
-def load_structure(path: str, theory: Theory) -> PartialStructure:
-    with open(path) as fh:
-        return structure_from_json(json.load(fh), theory)
-
-
 def save_structure(path: str, X: PartialStructure) -> None:
     with open(path, "w") as fh:
         json.dump(structure_to_json(X), fh, indent=2, sort_keys=True)

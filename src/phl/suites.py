@@ -16,6 +16,8 @@ A report counts every individual check as one instance; the acceptance
 gate requires zero failures and a minimum instance count.
 """
 
+from __future__ import annotations
+
 import random
 from dataclasses import dataclass, field
 

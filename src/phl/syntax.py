@@ -9,7 +9,7 @@ context of distinct sorted variables.  Equality is never a declared symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 
 class PhlError(Exception):
@@ -47,7 +47,7 @@ class App:
     args: tuple = ()
 
 
-Term = Union[Var, App]
+Term = Var | App
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class And:
     rhs: "Formula"
 
 
-Formula = Union[Top, RelAtom, Eq, And]
+Formula = Top | RelAtom | Eq | And
 
 TOP = Top()
 

@@ -16,6 +16,8 @@ Bounds matter: counts are counts among models whose carriers stay under
 the stated size, and every bound note says why that window suffices.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from typing import Callable, Optional
 

@@ -23,7 +23,7 @@ from phl.closure import (
     product_embedding_closure,
     save_universe,
     surjective_image_closure,
-    universe_cache_path,
+    universe_cache_file,
     ModelClass,
     ModelUniverse,
 )
@@ -269,8 +269,20 @@ def test_universe_cache_round_trip(tmp_path):
     U3 = enumerate_models(th, 2, cache_dir=str(tmp_path))
     assert U3.keys == U.keys
     # the write went through a temporary file that is gone now
-    path = universe_cache_path(th, 2, str(tmp_path))
+    path, _ = universe_cache_file(th, 2, str(tmp_path))
     assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+
+
+def test_universe_cache_hashes_the_theory_once_per_save_and_load(tmp_path, monkeypatch):
+    th = get_theory("urel")
+    U = enumerate_models(th, 2)
+    hashes = []
+    monkeypatch.setattr(closure, "theory_hash", lambda theory: hashes.append(theory) or "0" * 16)
+    save_universe(U, str(tmp_path))
+    assert hashes == [th]
+    for _ in range(3):
+        assert load_universe(th, 2, str(tmp_path)).keys == U.keys
+    assert hashes == [th] * 4
 
 
 def _damage_and_reload(tmp_path, capsys, damage):
@@ -278,7 +290,7 @@ def _damage_and_reload(tmp_path, capsys, damage):
     warns, enumerates again and rewrites a file that loads cleanly."""
     th = get_theory("pos")
     U = enumerate_models(th, 2, cache_dir=str(tmp_path))
-    path = universe_cache_path(th, 2, str(tmp_path))
+    path, _ = universe_cache_file(th, 2, str(tmp_path))
     with open(path) as fh:
         lines = fh.read().splitlines(keepends=True)
     assert len(lines) == 5  # the header and 4 members

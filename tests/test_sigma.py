@@ -1,25 +1,29 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from phl import sigma, targets
+from phl.closure import enumerate_models
 from phl.corpus import (
     antichain_poset,
     chain_names,
     chain_poset,
     get_chain,
+    get_theory,
     m_lattice,
     ordinal_U,
     set_of,
     urel_of,
 )
 from phl.groups import cyclic_group, symmetric_3, trivial_group
-from phl.homsearch import find_hom
+from phl.homsearch import HomPlan, find_hom
 from phl.report import RunContext, run_targets
 from phl.sigma import (
     AccResult,
     HomQuiver,
+    SigmaPoset,
     acc_probe,
     build_hom_quiver,
     condense_sigma,
@@ -37,7 +41,8 @@ from phl.sigma import (
     subgroup_category,
     verify_fam_theorem,
 )
-from phl.syntax import BudgetError, ValidationError
+from phl.structures import structure_size
+from phl.syntax import ValidationError
 
 
 def quiver(labels, arcs):
@@ -93,11 +98,64 @@ def test_is_chain_and_poset_iso():
     assert not poset_iso(n_poset, two_plus_two)
 
 
-def test_poset_iso_budget_raises(monkeypatch):
-    monkeypatch.setattr(sigma, "ISO_BUDGET", 3)
-    big = condense_sigma(quiver("abcdefghij", set()))
-    with pytest.raises(BudgetError, match="past 3 steps"):
-        poset_iso(big, big)
+def brute_iso(P, Q):
+    """Isomorphism by trying every bijection."""
+    n = len(P)
+    return n == len(Q) and any(
+        all(((a, b) in P.leq) == ((f[a], f[b]) in Q.leq) for a in range(n) for b in range(n))
+        for f in itertools.permutations(range(n)))
+
+
+def relabelled(X, rng):
+    """A pos model as a SigmaPoset whose elements are numbered in a random order."""
+    carrier = X.carrier("el")
+    number = dict(zip(carrier, rng.sample(range(len(carrier)), len(carrier))))
+    return SigmaPoset([str(i) for i in range(len(carrier))], [(i,) for i in range(len(carrier))],
+                      frozenset((number[a], number[b]) for a, b in X.relations["leq"]))
+
+
+def test_poset_iso_agrees_with_brute_force():
+    rng = random.Random(17)
+    four = [X for X in enumerate_models(get_theory("pos"), 4).members if structure_size(X) == 4]
+    assert len(four) == 16
+    posets = [relabelled(X, rng) for X in four for _ in range(2)]
+    posets += [lower_set_lattice(condense_sigma(quiver("abcd"[:n], arcs))).poset
+               for n, arcs in [(2, {("a", "b")}), (2, set()),
+                               (4, {("a", "c"), ("b", "c"), ("b", "d")})]]
+    verdicts = [(poset_iso(P, Q), brute_iso(P, Q)) for P in posets for Q in posets]
+    assert all(mine == brute for mine, brute in verdicts)
+    # each pos member with its other copy and itself, each lattice with itself,
+    # and the 2-antichain's lattice with both copies of the square, both ways
+    assert sum(mine for mine, _ in verdicts) == 16 * 2 * 2 + 3 + 2 * 2
+
+
+def test_poset_iso_refuses_equal_sizes_of_another_shape():
+    three_chain = condense_sigma(quiver("abc", {("a", "b"), ("b", "c")}))
+    vee = condense_sigma(quiver("abc", {("a", "c"), ("b", "c")}))
+    wedge = condense_sigma(quiver("abc", {("c", "a"), ("c", "b")}))
+    chain_and_point = condense_sigma(quiver("abc", {("a", "b")}))
+    assert [len(P.leq) for P in (three_chain, vee, wedge, chain_and_point)] == [6, 5, 5, 4]
+    for P, Q in itertools.permutations([three_chain, vee, chain_and_point], 2):
+        assert not poset_iso(P, Q) and not brute_iso(P, Q)
+    # equal size and pair count, no injective monotone map
+    assert not poset_iso(vee, wedge) and not brute_iso(vee, wedge)
+
+
+def test_poset_iso_makes_one_injective_query_when_the_counts_agree(monkeypatch):
+    queries = []
+    homs = HomPlan.homs
+
+    def counted(self, other, injective=False, restrict=None):
+        queries.append(injective)
+        return homs(self, other, injective, restrict)
+
+    monkeypatch.setattr(HomPlan, "homs", counted)
+    vee = condense_sigma(quiver("abc", {("a", "c"), ("b", "c")}))
+    assert not poset_iso(vee, condense_sigma(quiver("abc", {("a", "b")})))
+    assert not poset_iso(vee, condense_sigma(quiver("ab", {("a", "b")})))
+    assert queries == []
+    assert poset_iso(vee, condense_sigma(quiver("xyz", {("y", "x"), ("z", "x")})))
+    assert queries == [True]
 
 
 def test_lower_sets_counts():

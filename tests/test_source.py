@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +60,45 @@ def test_no_module_imports_a_name_it_does_not_use():
                 bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                 found += [f"{path.name}:{name}" for name in bound if name not in read]
     assert found == []
+
+
+def test_every_module_begins_with_the_future_import():
+    """An annotation evaluated at import can put phl's classes into a
+    process-wide cache (typing caches what it builds), which keeps an old
+    import's modules alive after a fresh one.  __init__.py is exempt: it
+    only re-exports."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+        if not (body and isinstance(body[0], ast.ImportFrom) and body[0].module == "__future__"
+                and [alias.name for alias in body[0].names] == ["annotations"]):
+            found.append(path.name)
+    assert found == []
+
+
+LEAK_CHECK = """
+import gc, sys, weakref
+import phl
+from phl.report import RunContext, run_targets
+run_targets(["sigma-pos"], RunContext())
+first = weakref.ref(phl.syntax.Var)
+for name in [m for m in sys.modules if m == "phl" or m.startswith("phl.")]:
+    del sys.modules[name]
+del phl, RunContext, run_targets
+import phl
+gc.collect()
+print("alive" if first() is not None else "gone")
+"""
+
+
+def test_a_fresh_import_frees_the_previous_one():
+    """The benchmark imports phl afresh for every set-up; nothing may keep
+    the previous import's classes, and through them its modules, alive."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", LEAK_CHECK], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "gone\n"
