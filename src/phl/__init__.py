@@ -33,7 +33,6 @@ from .corpus import (
 from .homsearch import (
     enumerate_homs,
     find_hom,
-    find_section,
     hom_exists,
     iter_homs,
     local_retraction_check,

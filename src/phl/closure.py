@@ -107,7 +107,7 @@ class ModelUniverse:
                 u = t if rho is None else rho.sort_map[t]
                 for y, x in m.items():
                     back[u, x] = back.get((u, x), {y}) & {y}
-            return next(self.plan(i).homs(self.plan(j), restrict=back), None) is not None
+            return self.plan(i).maps_to(self.plan(j), restrict=back)
         return self._remember(("locret", i, j, None if rho is None else rho.name), lambda: any(
             map(retracts, self.plan(j, rho).homs(self.plan(i, rho), injective=True))))
 
@@ -725,12 +725,6 @@ class MorphismVerdict:
     structure: Optional[PartialStructure] = None
     sequent: Optional[Sequent] = None
     witness: Optional[dict] = None
-
-    def describe(self) -> str:
-        if self.kind == "no-counterexample":
-            return f"no counterexample up to size {self.k}"
-        return (f"countermodel of size {structure_size(self.structure)} "
-                f"violates a translated axiom at {self.witness}")
 
 
 def check_theory_morphism_bounded(m: TheoryMorphism, k: int,

@@ -8,18 +8,17 @@ are int bitsets over the target carrier.  Every assignment forward-checks
 (Haralick & Elliott 1980) each constraint left with one free variable.  The
 tables live on a `HomPlan`, built once per structure.
 
-The search runs in one of two orders.
+`HomPlan._domains` builds every constraint of a search, and the search runs
+over them in one of two orders.  `injective` adds one constraint per two
+elements of a sort, that their values differ; `restrict` narrows the
+initial domains without reordering them.
 
-Enumeration (`HomPlan.homs`, and through it `iter_homs`, `find_hom`,
-`enumerate_homs` and `find_section`) takes the variables in source order
-(sorts as declared, carrier order within a sort) and the values in target
-carrier order, so homomorphisms come out in lexicographic order; that order
-is part of the contract.  `injective` adds one constraint per two elements
-of a sort, that their values differ, so forward checking removes each
-assigned value from the domains of the free variables of its sort.
-`restrict` narrows the initial domains without reordering them.  Each
-sort's map lists the elements in carrier order; `phl hom` prints these maps
-as they are.
+Enumeration (`HomPlan.homs`, and through it `iter_homs`, `find_hom` and
+`enumerate_homs`) takes the variables in source order (sorts as declared,
+carrier order within a sort) and the values in target carrier order, so
+homomorphisms come out in lexicographic order; that order is part of the
+contract.  Each sort's map lists the elements in carrier order; `phl hom`
+prints these maps as they are.
 
 Existence (`hom_exists`, `HomPlan.maps_to`) gives no witness.  The variable
 with the smallest domain goes next, so forced values go first, and since a
@@ -61,10 +60,11 @@ def enumerate_homs(X: PartialStructure, Y: PartialStructure, limit: Optional[int
     return list(itertools.islice(iter_homs(X, Y, injective, restrict), limit))
 
 
-def hom_exists(X: PartialStructure, Y: PartialStructure) -> bool:
+def hom_exists(X: PartialStructure, Y: PartialStructure, injective: bool = False,
+               restrict: Optional[dict] = None) -> bool:
     """Whether some homomorphism X -> Y exists; no witness.  Callers asking
     about many pairs keep one HomPlan per structure instead."""
-    return HomPlan(X).maps_to(HomPlan(Y))
+    return HomPlan(X).maps_to(HomPlan(Y), injective, restrict)
 
 
 class HomPlan:
@@ -182,11 +182,15 @@ class HomPlan:
         got = self._supports[key] = (projections, supports, bool(rows))
         return got
 
-    def _domains(self, other: "HomPlan", restrict: Optional[dict] = None) -> tuple:
-        """(initial domains, supports per key number) for a search into
-        other, or None when some domain is empty or some symbol has no
-        target tuple to go to."""
-        sorts, keys, scopes, _, _ = self._source or self._source_tables()
+    def _domains(self, other: "HomPlan", injective: bool = False,
+                 restrict: Optional[dict] = None) -> tuple:
+        """(initial domains, supports per constraint number, links) of a
+        search into other under `homs`' constraints, or None when the
+        theories differ, some domain is empty or some symbol has no target
+        tuple to go to."""
+        if self.structure.theory.name != other.structure.theory.name:
+            return None
+        sorts, keys, scopes, links, _ = self._source or self._source_tables()
         dom = list(map(other._masks.__getitem__, sorts))
         for (s, a), labels in restrict.items() if restrict else ():
             v = self._numbers.get(s, {}).get(a)
@@ -199,7 +203,7 @@ class HomPlan:
                                           f"to {b!r}, which is not in the target carrier")
                 mask |= 1 << targets[b]
             dom[v] &= mask
-        supports = []  # per key number
+        supports = []  # per constraint number
         known = other._supports
         for key, key_scopes in zip(keys, scopes):
             projections, sup, inhabited = known.get(key) or other._support(key)
@@ -209,18 +213,27 @@ class HomPlan:
             for scope in key_scopes:
                 for k, v in enumerate(scope):
                     dom[v] &= projections[k]
-        return (dom, supports) if all(dom) else None
+        if injective:
+            links = [list(held) for held in links]
+            for s, numbers in self._numbers.items():
+                differ = {(x,): other._masks[s] ^ (1 << x) for x in other._numbers[s].values()}
+                link = len(supports)
+                supports.append((differ, differ))
+                for scope in itertools.combinations(numbers.values(), 2):
+                    for v in scope:
+                        links[v].append((scope, link))
+        return (dom, supports, links) if all(dom) else None
 
-    def maps_to(self, other: "HomPlan") -> bool:
+    def maps_to(self, other: "HomPlan", injective: bool = False,
+                restrict: Optional[dict] = None) -> bool:
         """Whether some homomorphism runs from this plan's structure to
-        other's."""
-        if self.structure.theory.name != other.structure.theory.name:
-            return False
-        got = self._domains(other)
+        other's, under the constraints `homs` takes."""
+        got = self._domains(other, injective, restrict)
         if got is None:
             return False
-        dom, supports = got
-        links, comps = self._source[3:]
+        dom, supports, links = got
+        # the differs constraints join each sort, so injective is one component
+        comps = [range(len(dom))] if injective else self._source[4]
         value = [None] * len(dom)
         # unordered, a search yields at most once
         return all(list(_search(comp, False, dom, value, links, supports)) for comp in comps)
@@ -231,24 +244,11 @@ class HomPlan:
         one-to-one on every sort, if `injective`), in lexicographic order of
         the source elements over target carrier order.  `restrict` maps
         (sort, element) to the target elements the element may go to."""
-        X, Y = self.structure, other.structure
-        if X.theory.name != Y.theory.name:
-            return
-        got = self._domains(other, restrict)
+        got = self._domains(other, injective, restrict)
         if got is None:
             return
-        dom, supports = got
-        links = self._source[3]
-        if injective:  # one more constraint per two elements of a sort: they differ
-            links = [list(held) for held in links]
-            for s, numbers in self._numbers.items():
-                differ = {(x,): other._masks[s] ^ (1 << x) for x in other._numbers[s].values()}
-                link = len(supports)
-                supports.append((differ, differ))
-                for scope in itertools.combinations(numbers.values(), 2):
-                    for v in scope:
-                        links[v].append((scope, link))
-        image = other._elements
+        dom, supports, links = got
+        X, Y, image = self.structure, other.structure, other._elements
         for value in _search(range(len(dom)), True, dom, [None] * len(dom), links, supports):
             yield Homomorphism(X, Y, {s: {a: image[value[v]] for a, v in numbers.items()}
                                       for s, numbers in self._numbers.items()})
@@ -339,11 +339,6 @@ def fibers(p: Homomorphism) -> dict:
             for s in X.theory.signature.sorts for b in Y.carrier(s)}
 
 
-def find_section(p: Homomorphism) -> Optional[Homomorphism]:
-    """Section of p: a homomorphism s with p . s = id on p's target."""
-    return find_hom(p.target, p.source, restrict=fibers(p))
-
-
 # ---------------------------------------------------------------------------
 # local retractions, probed and exact
 
@@ -391,12 +386,16 @@ def local_retraction_check(p: Homomorphism, probes: list) -> LocalRetractionRepo
 
     For every probe G and every homomorphism f: G -> target, a lift
     g: G -> source with p . g = f must exist; the report names the first
-    probe map without one.  A probe is a structure or its HomPlan, so a
-    family kept as plans (ModelUniverse.plan) builds no tables per call.  A
-    universe decides this for its own members as probes by retract search
-    instead (ModelUniverse.locret).
+    probe map without one.  A probe, of p's theory, is a structure or its
+    HomPlan, so a family kept as plans (ModelUniverse.plan) builds no tables
+    per call.  A universe decides this for its own members as probes by
+    retract search instead (ModelUniverse.locret).
     """
     probes = [G if isinstance(G, HomPlan) else HomPlan(G) for G in probes]
+    for G in probes:
+        if G.structure.theory.name != p.source.theory.name:
+            raise ValidationError(f"probe {G.structure.name!r} is not a "
+                                  f"'{p.source.theory.name}' structure")
     plans = {id(P.structure): P for P in probes}
     source = plans.get(id(p.source)) or HomPlan(p.source)
     target = plans.get(id(p.target)) or HomPlan(p.target)
@@ -406,7 +405,7 @@ def local_retraction_check(p: Homomorphism, probes: list) -> LocalRetractionRepo
         for f in probe.homs(target):
             maps_checked += 1
             restrict = {(s, c): over[s, b] for s, m in f.maps.items() for c, b in m.items()}
-            if next(probe.homs(source, restrict=restrict), None) is None:
+            if not probe.maps_to(source, restrict=restrict):
                 return LocalRetractionReport("failed", maps_checked, probe.structure, f)
     return LocalRetractionReport("passed-up-to-probes", maps_checked, None, None)
 

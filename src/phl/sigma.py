@@ -116,7 +116,7 @@ def poset_iso(P: SigmaPoset, Q: SigmaPoset) -> bool:
         return HomPlan(make_structure(get_theory("brel"), {"el": range(len(R))},
                                       relations={"r": R.leq}))
 
-    return next(plan(P).homs(plan(Q), injective=True), None) is not None
+    return plan(P).maps_to(plan(Q), injective=True)
 
 
 def poset_product(P: SigmaPoset, Q: SigmaPoset) -> SigmaPoset:

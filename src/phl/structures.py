@@ -749,6 +749,12 @@ def structure_from_json(d: dict, theory: Theory) -> PartialStructure:
         raise ValidationError(
             f"structure is for signature '{d.get('signature')}', expected '{theory.name}'")
     sig = theory.signature
+    for part, kind, names in (("carriers", "sort", sig.sorts), ("functions", "function",
+                              sig.functions), ("relations", "relation", sig.relations)):
+        for name in d.get(part, {}):
+            if name not in names:
+                raise ValidationError(f"'{part}' names {name!r}, which is not a {kind} "
+                                      f"of '{theory.name}'")
     functions = {}
     for f, (argsorts, _) in sig.functions.items():
         table = {}

@@ -28,8 +28,9 @@ from .closure import (
 )
 from .corpus import get_theory
 from .homsearch import (
+    fibers,
     find_hom,
-    find_section,
+    hom_exists,
     passes_probes,
 )
 from .parser import parse_sequents
@@ -64,10 +65,6 @@ class SuiteReport:
         self.instances += 1
         if not ok:
             self.failures.append((prop, detail))
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else f"{len(self.failures)} failures"
-        return f"{self.name}: {self.instances} instances, {verdict}"
 
 
 # universes the probe suite draws maps from; k stays at 2 so full hom
@@ -127,7 +124,7 @@ def probe_property_suite(seed: int = 20250814) -> SuiteReport:
                       and find_hom(g.source, h.target) is not None,
                       (name, g.name, h.name))
         for p in _sample(rng, surjections, PROBE_ROUNDS):
-            if find_section(p) is None:
+            if not hom_exists(p.target, p.source, restrict=fibers(p)):
                 continue
             probes = _probe_family(rng, U)
             rep.check("retraction passes probes", passes_probes(p, probes),
@@ -149,7 +146,7 @@ def probe_property_suite(seed: int = 20250814) -> SuiteReport:
             probes = _probe_family(rng, U) + [p.target]
             if passes_probes(p, probes):
                 rep.check("codomain probe forces a section",
-                          find_section(p) is not None, (name, p.name))
+                          hom_exists(p.target, p.source, restrict=fibers(p)), (name, p.name))
         for _ in range(PROBE_ROUNDS // 2):
             p = rng.choice(pool)
             others = [q for q in pool if q.target.name == p.target.name]

@@ -385,6 +385,15 @@ def test_universe_cache_row_with_invalid_structure_is_a_miss(tmp_path, capsys,
     assert f"row 3 holds no valid structure ({reason})" in err
 
 
+def test_universe_cache_row_naming_a_relation_outside_the_theory_is_a_miss(tmp_path, capsys):
+    def misspell(row):
+        relations = row["structure"]["relations"]
+        relations["le"] = relations.pop("leq")
+    err = _damage_and_reload(tmp_path, capsys, _rewrite_row(3, misspell))
+    assert "row 3 holds no valid structure ('relations' names 'le', which is not a " \
+           "relation of 'pos')" in err
+
+
 def test_closure_p_of_empty_class_is_terminal():
     U = enumerate_models(get_theory("set"), 3)
     empty = ModelClass(U, frozenset())

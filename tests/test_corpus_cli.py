@@ -184,6 +184,18 @@ def test_cli_hom_reports_invalid_json(tmp_path, capsys):
         assert err.strip() == f"{bad}: invalid JSON at line 3 column 1"
 
 
+def test_cli_hom_refuses_a_name_outside_the_signature(tmp_path, capsys):
+    """A misspelt relation is an error, not a relation read as empty."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"signature": "pos", "carriers": {"el": ["0", "1"]}, '
+                    '"relations": {"leq": [["0", "0"], ["0", "1"], ["1", "1"]]}}')
+    bad.write_text(good.read_text().replace('"leq"', '"le"'))
+    for args in ((str(bad), str(good)), (str(good), str(bad))):
+        code, out, err = run_cli(capsys, "hom", *args)
+        assert code == 1 and out == ""
+        assert err == "'relations' names 'le', which is not a relation of 'pos'\n"
+
+
 def test_cli_hom_accepts_a_theory_file(tmp_path, capsys):
     src = print_theory(get_theory("pos")).replace("theory pos", "theory myord")
     tpath = tmp_path / "myord.phl"

@@ -18,8 +18,8 @@ from phl.corpus import (
 from phl.homsearch import (
     enumerate_homs,
     exact_local_retraction,
+    fibers,
     find_hom,
-    find_section,
     hom_exists,
     local_retraction_check,
 )
@@ -198,15 +198,46 @@ def test_restrict_outside_the_target_carrier_names_element_and_label():
         find_hom(chain_poset(2), chain_poset(2), restrict={("el", "1"): ("7", "0")})
 
 
+def random_restrict(rng, X, Y):
+    """Each source element may go to a random subset of its target carrier,
+    empty now and then."""
+    return {(s, a): tuple(b for b in Y.carrier(s) if rng.random() < 0.6)
+            for s in X.theory.signature.sorts for a in X.carrier(s)}
+
+
+def test_existence_and_enumeration_answer_alike_under_every_constraint():
+    """maps_to against the first map of the ordered enumeration and the
+    brute force on every ordered member pair of four universes: plain,
+    injective, restricted to the fibers of a hom back, and under a seeded
+    random restrict."""
+    rng = random.Random(20261019)
+    for name, k in (("urel", 2), ("pos", 3), ("nset-3", 3), ("cospan", 2)):
+        U = enumerate_models(get_theory(name), k)
+        for i, j in itertools.product(range(len(U)), repeat=2):
+            X, Y = U.members[i], U.members[j]
+            source, target = U.plan(i), U.plan(j)
+            cases = [({}, False), ({}, True), (random_restrict(rng, X, Y), False)]
+            back = next(target.homs(source), None)
+            if back is not None:
+                cases.append((fibers(back), False))
+            for restrict, injective in cases:
+                brute = [h for h in brute_force_homs(X, Y, restrict)
+                         if not injective or is_injective(h)]
+                first = next(source.homs(target, injective, restrict), None)
+                exists = source.maps_to(target, injective, restrict)
+                assert exists == (first is not None) == bool(brute), \
+                    (X.name, Y.name, injective, restrict)
+
+
 def test_find_section_of_a_collapse():
     two, one = set_of(2), set_of(1)
     p = Homomorphism(two, one, {"el": {"0": "0", "1": "0"}})
-    s = find_section(p)
+    s = find_hom(p.target, p.source, restrict=fibers(p))
     assert s is not None
     assert compose(p, s).maps["el"] == {"0": "0"}
     # inclusions are not split epis
     inc = Homomorphism(one, two, {"el": {"0": "0"}})
-    assert find_section(inc) is None
+    assert find_hom(inc.target, inc.source, restrict=fibers(inc)) is None
 
 
 def test_local_retraction_full_probe_set_equals_retract():
@@ -221,6 +252,23 @@ def test_local_retraction_full_probe_set_equals_retract():
     assert rep2.verdict == "failed"
     assert exact_local_retraction(inc) == (False, "surjection")
     assert rep2.witness_probe is not None and rep2.witness_map is not None
+
+
+def test_local_retraction_fails_a_map_that_misses_a_point_on_a_poset_probe():
+    """The map {0} -> {0 < 1} of posets misses 1: the one-point probe sent
+    onto 1 has no lift."""
+    p = Homomorphism(chain_poset(1), chain_poset(2), {"el": {"0": "0"}})
+    rep = local_retraction_check(p, [chain_poset(1)])
+    assert rep.verdict == "failed" and rep.maps_checked == 2
+    assert rep.witness_map.maps["el"] == {"0": "1"}
+
+
+def test_local_retraction_refuses_a_probe_of_another_theory():
+    """A urel probe has no homs into a poset to lift, so it would pass the
+    same map with 0 maps checked."""
+    p = Homomorphism(chain_poset(1), chain_poset(2), {"el": {"0": "0"}})
+    with pytest.raises(ValidationError, match="^probe '.*' is not a 'pos' structure$"):
+        local_retraction_check(p, [urel_of(1, [])])
 
 
 def test_exact_rule_for_plain_sets_is_surjectivity():

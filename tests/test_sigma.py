@@ -143,13 +143,13 @@ def test_poset_iso_refuses_equal_sizes_of_another_shape():
 
 def test_poset_iso_makes_one_injective_query_when_the_counts_agree(monkeypatch):
     queries = []
-    homs = HomPlan.homs
+    maps_to = HomPlan.maps_to
 
     def counted(self, other, injective=False, restrict=None):
         queries.append(injective)
-        return homs(self, other, injective, restrict)
+        return maps_to(self, other, injective, restrict)
 
-    monkeypatch.setattr(HomPlan, "homs", counted)
+    monkeypatch.setattr(HomPlan, "maps_to", counted)
     vee = condense_sigma(quiver("abc", {("a", "c"), ("b", "c")}))
     assert not poset_iso(vee, condense_sigma(quiver("abc", {("a", "b")})))
     assert not poset_iso(vee, condense_sigma(quiver("ab", {("a", "b")})))

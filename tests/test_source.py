@@ -79,6 +79,31 @@ def test_every_module_begins_with_the_future_import():
     assert found == []
 
 
+def _first_hom(node) -> bool:
+    """Is node the call next(<...>.homs(...), None)?"""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "next" and len(node.args) == 2
+            and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Attribute) and node.args[0].func.attr == "homs"
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value is None)
+
+
+def test_no_module_asks_the_enumeration_a_yes_or_no_question():
+    """`next(P.homs(Q, ...), None) is None` runs the ordered enumeration for
+    its first map; `P.maps_to(Q, ...)` takes the same constraints and
+    searches smallest domain first, which refutes far faster."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_first_hom, operands)) and any(
+                        isinstance(c, ast.Constant) and c.value is None for c in operands):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 LEAK_CHECK = """
 import gc, sys, weakref
 import phl
