@@ -60,11 +60,11 @@ def enumerate_homs(X: PartialStructure, Y: PartialStructure, limit: Optional[int
     return list(itertools.islice(iter_homs(X, Y, injective, restrict), limit))
 
 
-def hom_exists(X: PartialStructure, Y: PartialStructure, injective: bool = False,
+def hom_exists(X: PartialStructure, Y: PartialStructure,
                restrict: Optional[dict] = None) -> bool:
     """Whether some homomorphism X -> Y exists; no witness.  Callers asking
     about many pairs keep one HomPlan per structure instead."""
-    return HomPlan(X).maps_to(HomPlan(Y), injective, restrict)
+    return HomPlan(X).maps_to(HomPlan(Y), restrict=restrict)
 
 
 class HomPlan:
@@ -213,6 +213,8 @@ class HomPlan:
             for scope in key_scopes:
                 for k, v in enumerate(scope):
                     dom[v] &= projections[k]
+        if not all(dom):
+            return None
         if injective:
             links = [list(held) for held in links]
             for s, numbers in self._numbers.items():
@@ -222,7 +224,7 @@ class HomPlan:
                 for scope in itertools.combinations(numbers.values(), 2):
                     for v in scope:
                         links[v].append((scope, link))
-        return (dom, supports, links) if all(dom) else None
+        return dom, supports, links
 
     def maps_to(self, other: "HomPlan", injective: bool = False,
                 restrict: Optional[dict] = None) -> bool:
@@ -232,11 +234,12 @@ class HomPlan:
         if got is None:
             return False
         dom, supports, links = got
-        # the differs constraints join each sort, so injective is one component
-        comps = [range(len(dom))] if injective else self._source[4]
         value = [None] * len(dom)
-        # unordered, a search yields at most once
-        return all(list(_search(comp, False, dom, value, links, supports)) for comp in comps)
+        # the differs constraints join each sort, so injective is one component
+        for comp in [range(len(dom))] if injective else self._source[4]:
+            if next(_search(comp, False, dom, value, links, supports), None) is None:
+                return False
+        return True
 
     def homs(self, other: "HomPlan", injective: bool = False,
              restrict: Optional[dict] = None) -> Iterator[Homomorphism]:

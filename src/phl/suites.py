@@ -108,7 +108,7 @@ def probe_property_suite(seed: int = 20250814) -> SuiteReport:
         pool = _hom_pool(U)
         surjections = [p for p in pool if is_surjective(p)]
         for X in U.members:
-            rep.check("hom-exists reflexive", find_hom(X, X) is not None, (name, X.name))
+            rep.check("hom-exists reflexive", hom_exists(X, X), (name, X.name))
         for h in _sample(rng, pool, PROBE_ROUNDS):
             rep.check("returned maps are homomorphisms",
                       hom_violation(h) is None, (name, h.name))
@@ -121,7 +121,7 @@ def probe_property_suite(seed: int = 20250814) -> SuiteReport:
             hg = compose(h, g)
             rep.check("hom-exists transitive",
                       hom_violation(hg) is None
-                      and find_hom(g.source, h.target) is not None,
+                      and hom_exists(g.source, h.target),
                       (name, g.name, h.name))
         for p in _sample(rng, surjections, PROBE_ROUNDS):
             if not hom_exists(p.target, p.source, restrict=fibers(p)):
