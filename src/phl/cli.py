@@ -309,8 +309,9 @@ def main(argv=None) -> int:
     except PhlError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"{exc.filename}: not found", file=sys.stderr)
+    except OSError as exc:  # a missing file, or a path of the wrong kind (--cache a file)
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"{exc.filename}: {reason}", file=sys.stderr)
         return 1
     except KeyError as exc:  # raised with a full sentence naming the unknown name
         print(exc.args[0], file=sys.stderr)

@@ -9,9 +9,9 @@ are int bitsets over the target carrier.  Every assignment forward-checks
 tables live on a `HomPlan`, built once per structure.
 
 `HomPlan._domains` builds every constraint of a search, and the search runs
-over them in one of two orders.  `injective` adds one constraint per two
-elements of a sort, that their values differ; `restrict` narrows the
-initial domains without reordering them.
+over them in one of two orders.  `restrict` narrows the initial domains
+without reordering them.  `injective` is a rule of the search, not a
+constraint: a value taken leaves the domain of every free variable.
 
 Enumeration (`HomPlan.homs`, and through it `iter_homs`, `find_hom` and
 `enumerate_homs`) takes the variables in source order (sorts as declared,
@@ -182,8 +182,7 @@ class HomPlan:
         got = self._supports[key] = (projections, supports, bool(rows))
         return got
 
-    def _domains(self, other: "HomPlan", injective: bool = False,
-                 restrict: Optional[dict] = None) -> tuple:
+    def _domains(self, other: "HomPlan", restrict: Optional[dict] = None) -> tuple:
         """(initial domains, supports per constraint number, links) of a
         search into other under `homs`' constraints, or None when the
         theories differ, some domain is empty or some symbol has no target
@@ -215,29 +214,20 @@ class HomPlan:
                     dom[v] &= projections[k]
         if not all(dom):
             return None
-        if injective:
-            links = [list(held) for held in links]
-            for s, numbers in self._numbers.items():
-                differ = {(x,): other._masks[s] ^ (1 << x) for x in other._numbers[s].values()}
-                link = len(supports)
-                supports.append((differ, differ))
-                for scope in itertools.combinations(numbers.values(), 2):
-                    for v in scope:
-                        links[v].append((scope, link))
         return dom, supports, links
 
     def maps_to(self, other: "HomPlan", injective: bool = False,
                 restrict: Optional[dict] = None) -> bool:
         """Whether some homomorphism runs from this plan's structure to
         other's, under the constraints `homs` takes."""
-        got = self._domains(other, injective, restrict)
+        got = self._domains(other, restrict)
         if got is None:
             return False
         dom, supports, links = got
         value = [None] * len(dom)
-        # the differs constraints join each sort, so injective is one component
+        # the injective rule couples the components, so it searches one
         for comp in [range(len(dom))] if injective else self._source[4]:
-            if next(_search(comp, False, dom, value, links, supports), None) is None:
+            if next(_search(comp, False, dom, value, links, supports, injective), None) is None:
                 return False
         return True
 
@@ -247,24 +237,27 @@ class HomPlan:
         one-to-one on every sort, if `injective`), in lexicographic order of
         the source elements over target carrier order.  `restrict` maps
         (sort, element) to the target elements the element may go to."""
-        got = self._domains(other, injective, restrict)
+        got = self._domains(other, restrict)
         if got is None:
             return
         dom, supports, links = got
         X, Y, image = self.structure, other.structure, other._elements
-        for value in _search(range(len(dom)), True, dom, [None] * len(dom), links, supports):
+        for value in _search(range(len(dom)), True, dom, [None] * len(dom), links, supports,
+                             injective):
             yield Homomorphism(X, Y, {s: {a: image[value[v]] for a, v in numbers.items()}
                                       for s, numbers in self._numbers.items()})
 
 
 def _search(todo, ordered: bool, dom: list, value: list, links: list,
-            supports: list) -> Iterator[list]:
+            supports: list, injective: bool) -> Iterator[list]:
     """Backtracking with forward checking over the variables in `todo`,
     yielding `value` at each full assignment.  Ordered, the variables go in
     the order of `todo` and every full assignment is yielded; otherwise the
     smallest domain goes next and the search stops at the first.  Values go
-    in ascending position.  Narrows `dom` in place and restores it on every
-    retreat."""
+    in ascending position.  If `injective`, a value taken leaves every free
+    domain in `todo` and is refused when that empties one; each sort's
+    values have bits of their own, so each sort maps one-to-one.  Narrows
+    `dom` in place and restores it on every retreat."""
     free = None if ordered else set(todo)
     trail = []  # (variable, domain before a narrowing)
     stack = []  # per variable chosen: [variable, values left, trail mark]
@@ -298,6 +291,13 @@ def _search(todo, ordered: bool, dom: list, value: list, links: list,
                 bit = left & -left
                 left ^= bit
                 value[v] = bit.bit_length() - 1
+                if injective:
+                    hit = [u for u in todo if dom[u] & bit and value[u] is None]
+                    if bit in map(dom.__getitem__, hit):
+                        continue  # it was some free variable's last value
+                    for u in hit:
+                        trail.append((u, dom[u]))
+                        dom[u] ^= bit
                 for scope, n in links[v]:  # forward checking
                     rest, at = [], -1
                     for k, u in enumerate(scope):

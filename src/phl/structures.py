@@ -433,22 +433,10 @@ def is_closed_mono(h: Homomorphism) -> bool:
     return jointly_closed_mono(h.source, [h])
 
 
-def inverse_hom(h: Homomorphism) -> Optional[Homomorphism]:
-    """Inverse map when h is bijective on every carrier; not validated."""
-    maps = {}
-    for s in h.source.theory.signature.sorts:
-        m = h.maps[s]
-        if len(set(m.values())) != len(m) or set(m.values()) != set(h.target.carrier(s)):
-            return None
-        maps[s] = {b: a for a, b in m.items()}
-    return Homomorphism(h.target, h.source, maps)
-
-
 def is_iso(h: Homomorphism) -> bool:
-    if hom_violation(h) is not None:
-        return False
-    inv = inverse_hom(h)
-    return inv is not None and hom_violation(inv) is None
+    """A surjective closed mono: a bijection on every sort that reflects
+    definedness, values and relations, so its inverse is a homomorphism."""
+    return hom_violation(h) is None and is_surjective(h) and is_closed_mono(h)
 
 
 # ---------------------------------------------------------------------------
@@ -745,16 +733,26 @@ def structure_to_json(X: PartialStructure) -> dict:
 
 
 def structure_from_json(d: dict, theory: Theory) -> PartialStructure:
+    if not isinstance(d, dict):
+        raise ValidationError("the structure is not a JSON object")
     if d.get("signature") != theory.name:
         raise ValidationError(
             f"structure is for signature '{d.get('signature')}', expected '{theory.name}'")
     sig = theory.signature
     for part, kind, names in (("carriers", "sort", sig.sorts), ("functions", "function",
                               sig.functions), ("relations", "relation", sig.relations)):
-        for name in d.get(part, {}):
+        entries = d.get(part, {})
+        if not isinstance(entries, dict):
+            raise ValidationError(f"'{part}' is not a JSON object")
+        for name, entry in entries.items():
             if name not in names:
                 raise ValidationError(f"'{part}' names {name!r}, which is not a {kind} "
                                       f"of '{theory.name}'")
+            what = "carrier" if part == "carriers" else "table"
+            if not isinstance(entry, list):
+                raise ValidationError(f"the {what} of {kind} {name!r} is not an array")
+            if what == "table" and not all(isinstance(row, list) for row in entry):
+                raise ValidationError(f"a row of {kind} {name!r} is not an array")
     functions = {}
     for f, (argsorts, _) in sig.functions.items():
         table = {}
@@ -763,9 +761,8 @@ def structure_from_json(d: dict, theory: Theory) -> PartialStructure:
                 raise ValidationError(f"row of '{f}' has wrong length")
             table[tuple(row[:-1])] = row[-1]
         functions[f] = table
-    relations = {}
-    for r, argsorts in sig.relations.items():
-        relations[r] = {tuple(row) for row in d.get("relations", {}).get(r, [])}
+    relations = {r: {tuple(row) for row in d.get("relations", {}).get(r, [])}
+                 for r in sig.relations}
     X = PartialStructure(
         theory,
         {s: tuple(d.get("carriers", {}).get(s, ())) for s in sig.sorts},

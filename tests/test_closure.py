@@ -375,9 +375,14 @@ def _structure_as_list(row):
     row["structure"] = ["el", "0"]
 
 
+def _carrier_as_string(row):
+    row["structure"]["carriers"]["el"] = "".join(row["structure"]["carriers"]["el"])
+
+
 @pytest.mark.parametrize("damage,reason", [
     (_repeat_a_label, "carrier of sort 'el' repeats a label"),
-    (_structure_as_list, "'list' object has no attribute 'get'"),
+    (_structure_as_list, "the structure is not a JSON object"),
+    (_carrier_as_string, "the carrier of sort 'el' is not an array"),
 ])
 def test_universe_cache_row_with_invalid_structure_is_a_miss(tmp_path, capsys,
                                                             damage, reason):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -194,6 +195,31 @@ def test_cli_hom_refuses_a_name_outside_the_signature(tmp_path, capsys):
         code, out, err = run_cli(capsys, "hom", *args)
         assert code == 1 and out == ""
         assert err == "'relations' names 'le', which is not a relation of 'pos'\n"
+
+
+@pytest.mark.parametrize("doc,reason", [
+    ("[1, 2]", "the structure is not a JSON object"),
+    ('{"signature": "pos", "carriers": {"el": "01"}, "relations": {"leq": ["00", "11", "01"]}}',
+     "the carrier of sort 'el' is not an array"),
+])
+def test_cli_hom_refuses_a_malformed_document(tmp_path, capsys, doc, reason):
+    """Either file; a source that names no signature is read with --theory."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"signature": "pos", "carriers": {"el": ["0"]}, '
+                    '"relations": {"leq": [["0", "0"]]}}')
+    bad.write_text(doc)
+    for args in ((str(bad), str(good), "--theory", "pos"), (str(good), str(bad))):
+        code, out, err = run_cli(capsys, "hom", *args)
+        assert code == 1 and out == ""
+        assert err == reason + "\n"
+
+
+def test_cli_cache_that_names_a_file_fails_cleanly(tmp_path, capsys):
+    cache = tmp_path / "a.json"
+    cache.write_text("{}")
+    code, out, err = run_cli(capsys, "models", "pos", "--max-size", "2", "--cache", str(cache))
+    assert code == 1 and out == ""
+    assert err == f"{cache}: {os.strerror(errno.EEXIST)}\n"
 
 
 def test_cli_hom_accepts_a_theory_file(tmp_path, capsys):

@@ -206,27 +206,29 @@ def random_restrict(rng, X, Y):
 
 
 def test_existence_and_enumeration_answer_alike_under_every_constraint():
-    """maps_to against the first map of the ordered enumeration and the
-    brute force on every ordered member pair of four universes: plain,
-    injective, restricted to the fibers of a hom back, and under a seeded
-    random restrict."""
-    rng = random.Random(20261019)
+    """maps_to and the full ordered enumeration against the brute force on
+    every ordered member pair of four universes: plain, injective,
+    restricted to the fibers of a hom back, and under a seeded random
+    restrict, plain and injective."""
+    rng, injective_rng = random.Random(20261019), random.Random(20261020)
     for name, k in (("urel", 2), ("pos", 3), ("nset-3", 3), ("cospan", 2)):
         U = enumerate_models(get_theory(name), k)
         for i, j in itertools.product(range(len(U)), repeat=2):
             X, Y = U.members[i], U.members[j]
             source, target = U.plan(i), U.plan(j)
-            cases = [({}, False), ({}, True), (random_restrict(rng, X, Y), False)]
+            cases = [({}, False), ({}, True), (random_restrict(rng, X, Y), False),
+                     (random_restrict(injective_rng, X, Y), True)]
             back = next(target.homs(source), None)
             if back is not None:
                 cases.append((fibers(back), False))
             for restrict, injective in cases:
                 brute = [h for h in brute_force_homs(X, Y, restrict)
                          if not injective or is_injective(h)]
-                first = next(source.homs(target, injective, restrict), None)
+                found = list(source.homs(target, injective, restrict))
                 exists = source.maps_to(target, injective, restrict)
-                assert exists == (first is not None) == bool(brute), \
+                assert in_carrier_order(found) == in_carrier_order(brute), \
                     (X.name, Y.name, injective, restrict)
+                assert exists == bool(brute), (X.name, Y.name, injective, restrict)
 
 
 def test_find_section_of_a_collapse():

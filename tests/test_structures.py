@@ -270,6 +270,54 @@ def test_json_round_trip():
     assert structure_to_json(Y) == d
 
 
+@pytest.mark.parametrize("name,doc,reason", [
+    ("pos", [1, 2], "the structure is not a JSON object"),
+    ("pos", {"carriers": ["el"]}, "'carriers' is not a JSON object"),
+    ("end", {"functions": "f"}, "'functions' is not a JSON object"),
+    ("pos", {"relations": [["0", "0"]]}, "'relations' is not a JSON object"),
+    ("pos", {"carriers": {"el": "01"}}, "the carrier of sort 'el' is not an array"),
+    ("end", {"functions": {"f": {"0": "0"}}}, "the table of function 'f' is not an array"),
+    ("pos", {"relations": {"leq": "00"}}, "the table of relation 'leq' is not an array"),
+    ("end", {"carriers": {"el": ["0", "1"]}, "functions": {"f": ["00", "11"]}},
+     "a row of function 'f' is not an array"),
+    ("pos", {"carriers": {"el": ["0", "1"]}, "relations": {"leq": ["00", "11", "01"]}},
+     "a row of relation 'leq' is not an array"),
+])
+def test_structure_from_json_refuses_a_malformed_document(name, doc, reason):
+    """A string carrier or row would otherwise be read as its characters."""
+    if isinstance(doc, dict):
+        doc = {"signature": name, **doc}
+    with pytest.raises(ValidationError) as exc:
+        structure_from_json(doc, get_theory(name))
+    assert str(exc.value) == reason
+
+
+def _is_iso_by_inverse(h):
+    """Bijective on every sort, and the inverse map is a homomorphism."""
+    maps = {}
+    for s in h.source.theory.signature.sorts:
+        m, carrier = h.maps[s], h.target.carrier(s)
+        if len(set(m.values())) != len(m) or set(m.values()) != set(carrier):
+            return False
+        maps[s] = {b: a for a, b in m.items()}
+    return hom_violation(Homomorphism(h.target, h.source, maps)) is None
+
+
+@pytest.mark.parametrize("name,k", [("pos", 3), ("urel", 2), ("nset-3", 3), ("cospan", 2),
+                                    ("end", 3)])
+def test_is_iso_is_a_bijective_hom_with_a_hom_inverse(name, k):
+    """On every hom between members; members are pairwise non-isomorphic,
+    so every iso is an automorphism."""
+    U = enumerate_models(get_theory(name), k)
+    isos = 0
+    for X, Y in itertools.product(U.members, repeat=2):
+        for h in enumerate_homs(X, Y):
+            assert is_iso(h) == _is_iso_by_inverse(h), (X.name, Y.name, h.maps)
+            assert not is_iso(h) or X is Y
+            isos += is_iso(h)
+    assert isos >= len(U.members)  # at least every identity
+
+
 def test_chain_colimit_verdicts():
     const = get_chain("constant-set")
     res = chain_colimit(const, 6)
