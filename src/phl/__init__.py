@@ -26,7 +26,6 @@ from .corpus import (
     get_chain,
     get_group,
     get_morphism,
-    get_structure,
     get_theory,
     list_corpus,
 )
@@ -53,7 +52,6 @@ from .structures import (
     Homomorphism,
     PartialStructure,
     chain_colimit,
-    eval_formula,
     eval_term,
     is_closed_mono,
     is_model,
@@ -61,7 +59,6 @@ from .structures import (
     product,
     pullback,
     reduct,
-    save_structure,
 )
 from .syntax import (
     ParseError,

@@ -1,9 +1,9 @@
 """The search behind `structures.canonical_key`: a least relabeling.
 
-`canonical_key` documents the cell vector that a relabeling gives a
-structure and why its order is the order of the key strings; this module
-finds, per sort, an order of the elements whose cell vector is least, by
-branch and bound.
+`canonical_key` documents the cell vector of a relabeling and why its order
+is the order of the key strings.  This module finds, per sort, an order of
+the elements whose vector is least, by individualization and refinement of
+an ordered partition (McKay and Piperno, J. Symb. Comput. 60, 2014).
 """
 
 from __future__ import annotations
@@ -17,96 +17,132 @@ if TYPE_CHECKING:
 
 def least_relabeling(X: PartialStructure) -> dict:
     """Per sort, the elements in label order under a relabeling whose cell
-    vector is least."""
+    vector is least.
+
+    Each sort is an ordered partition: blocks of elements holding contiguous
+    label ranges.  The cells are read in runs: one symbol, fixed labels for
+    every argument but the last, and the last going over its sort.  A fixed
+    label must be held by one element, so where its block holds more the
+    search branches on who takes it.  The last argument goes over its sort's
+    blocks in order.  Where every cell's rank over a block is known (a
+    relation cell, an undefined entry, or a value alone in its block), the
+    block is sorted by rank into sub-blocks, ties kept together; otherwise
+    the search branches on who takes the block's first label.  A value whose
+    block holds more elements takes that block's first label.  Each segment
+    is compared with the least vector so far, and the branch is cut once it
+    is larger; at the end the blocks are flattened.
+
+    This is exact because no cell read so far tells apart the elements of a
+    block, so any order within a block gives the same vector prefix.  A
+    value can take no label below its block's first, and within a run only
+    the sorted order of a block is least.  Twins, elements of one sort whose
+    swap is an automorphism, lead to the same vectors, so a branch tries one
+    element of a block per twin class.
+    """
     sig = X.theory.signature
     carriers = {s: X.carrier(s) for s in sig.sorts}
     tables = [(argsorts, result, X.functions.get(f, {}))
               for f, (argsorts, result) in sig.functions.items()]
     tables += [(argsorts, None, X.relations.get(r, set()))
                for r, argsorts in sig.relations.items()]
-    slots_of, sort_of = {}, []  # label l of sort s is in slot slots_of[s][l]
-    for s in sig.sorts:
-        slots_of[s] = range(len(sort_of), len(sort_of) + len(carriers[s]))
-        sort_of += [s] * len(carriers[s])
-    cells = []  # (argument slots, slots first seen here, result sort, table)
-    seen = set()
-    for argsorts, result, table in tables:
-        for slots in itertools.product(*(slots_of[s] for s in argsorts)):
-            fresh = () if seen.issuperset(slots) else [v for v in slots if v not in seen]
-            seen.update(fresh)
-            cells.append((slots, fresh, result, table))
     twins = _twin_classes(carriers, tables)
-    undefined = len(sort_of)  # ranks after every label
-    free = object()
-    at = [free] * len(sort_of)  # slot -> element
-    label_of = {s: {} for s in sig.sorts}
-    trail = []  # sorts in the order labels were given
-    vec = [0] * len(cells)
+    # Elements are numbered by their first slot; slot `lone` holds one more
+    # element, alone in its block: the argument of a nullary symbol and the
+    # value of a relation tuple, ranked before `undefined` (an absent cell).
+    slots_of, ids, elements, twin = {}, {}, [], []
+    for s in sig.sorts:
+        slots_of[s] = range(len(elements), len(elements) + len(carriers[s]))
+        ids[s] = dict(zip(carriers[s], slots_of[s]))
+        elements += carriers[s]
+        twin += [ids[s][twins[s][a]] for a in carriers[s]]
+    lone, undefined = len(elements), len(elements) + 1
+    at = list(range(lone + 1))  # slot -> element
+    pos = list(at)  # element -> slot
+    cut = [False] * (lone + 2)  # does a block start at this slot?
+    for slots in slots_of.values():
+        cut[slots.start] = True
+    cut[lone] = cut[undefined] = True
+    runs = []  # (argument slots but the last, last argument slots, rows, first cell)
+    cells = 0
+    for argsorts, result, table in tables:
+        rows = {}  # argument elements but the last -> {last: value}
+        for args in table:
+            key = tuple(ids[s][a] for s, a in zip(argsorts, args)) or (lone,)
+            rows.setdefault(key[:-1], {})[key[-1]] = ids[result][table[args]] if result else lone
+        *heads, last = [slots_of[s] for s in argsorts] or [range(lone, undefined)]
+        for prefix in itertools.product(*heads):
+            runs.append((prefix, last, rows, cells - last.start))
+            cells += len(last)
+    vec = [0] * cells
     best = best_at = None
 
-    def give(s, a):
-        at[slots_of[s][len(label_of[s])]] = a
-        label_of[s][a] = len(label_of[s])
-        trail.append(s)
-
-    def take_back(mark):
-        while len(trail) > mark:
-            s = trail.pop()
-            slot = slots_of[s][len(label_of[s]) - 1]
-            del label_of[s][at[slot]]
-            at[slot] = free
-
-    def walk(c, below):
-        """Extend the labeling from cell c on; `below` is whether the cells
-        before c are already less than best's."""
+    def descend(r, p, below):
+        """Extend the partition from slot p of run r on; `below` is whether
+        the cells before are already less than best's."""
         nonlocal best, best_at
-        while c < len(cells):
-            slots, fresh, result, table = cells[c]
-            unlabeled = [v for v in fresh if at[v] is free] if fresh else None
-            if unlabeled:  # branch on who takes the next label of its sort
-                s = sort_of[unlabeled[0]]
-                choices = {}  # one unlabeled element per twin class
-                for a in carriers[s]:
-                    if a not in label_of[s]:
-                        choices.setdefault(twins[s][a], a)
-                if len(choices) == 1:
-                    give(s, *choices.values())
-                    continue
-                mark = len(trail)
-                for a in choices.values():
-                    before = best
-                    give(s, a)
-                    walk(c, below)
-                    take_back(mark)
-                    if best is not before:  # the new best shares this prefix
-                        below = False
-                return
-            args = tuple(map(at.__getitem__, slots))
-            if result is None:
-                rank = 0 if args in table else 1
-            elif args not in table:
-                rank = undefined
-            else:
-                value = table[args]
-                rank = label_of[result].get(value)
-                if rank is None:
-                    rank = len(label_of[result])
-                    give(result, value)
-            if not below:
-                if rank > best[c]:
-                    return
-                below = rank < best[c]
-            vec[c] = rank
-            c += 1
+        while r < len(runs):
+            prefix, last, rows, base = runs[r]
+            for q in prefix:
+                if not cut[q + 1]:
+                    return split(r, p, q, below)
+            row = rows.get(tuple(map(at.__getitem__, prefix)), {})
+            while p < last.stop:
+                e = cut.index(True, p + 1)
+                ranks = []
+                for a in at[p:e]:
+                    v = row.get(a)
+                    if v is None:
+                        ranks.append(undefined)
+                        continue
+                    q = pos[v]
+                    if cut[q] and cut[q + 1]:
+                        ranks.append(q)
+                    elif e - p > 1:
+                        return split(r, p, p, below)
+                    else:  # the value takes the first label of its block
+                        b = q - cut[q::-1].index(True)
+                        w = at[b]
+                        at[b], at[q], pos[v], pos[w] = v, w, b, q
+                        cut[b + 1] = True
+                        ranks.append(b)
+                if e - p > 1:  # sort the block by rank; tied elements stay one block
+                    pairs = sorted(zip(ranks, at[p:e]))
+                    for i, (rank, a) in enumerate(pairs):
+                        at[p + i], pos[a], ranks[i] = a, p + i, rank
+                        if i and rank != pairs[i - 1][0]:
+                            cut[p + i] = True
+                c = base + p
+                if not below:
+                    least = best[c:c + e - p]
+                    if ranks > least:
+                        return
+                    below = ranks < least
+                vec[c:c + e - p] = ranks
+                p = e
+            r += 1
+            p = runs[r][1].start if r < len(runs) else 0
         if below:
             best, best_at = list(vec), list(at)
 
-    walk(0, True)
-    order = {}
-    for s in sig.sorts:
-        labeled = [best_at[v] for v in slots_of[s] if best_at[v] is not free]
-        order[s] = labeled + [a for a in carriers[s] if a not in labeled]
-    return order
+    def split(r, p, q, below):
+        """Branch on who takes slot q, the first of its block."""
+        nonlocal best
+        choices = {}  # one element per twin class
+        for a in at[q:cut.index(True, q + 1)]:
+            choices.setdefault(twin[a], a)
+        cut[q + 1] = True
+        saved = at[:], pos[:], cut[:]
+        for a in choices.values():
+            before = best
+            i, b = pos[a], at[q]
+            at[q], at[i], pos[a], pos[b] = a, b, q, i
+            descend(r, p, below)
+            at[:], pos[:], cut[:] = saved
+            if best is not before:  # the new best shares this prefix
+                below = False
+
+    descend(0, runs[0][1].start if runs else 0, True)
+    return {s: [elements[best_at[v]] for v in slots_of[s]] for s in sig.sorts}
 
 
 def _twin_classes(carriers: dict, tables: list) -> dict:

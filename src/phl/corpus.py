@@ -334,12 +334,6 @@ def antichain_poset(n: int) -> PartialStructure:
     return poset_structure([str(i) for i in range(n)], [], name=f"antichain{n}")
 
 
-def urel_of(n: int, marked, name: str = "") -> PartialStructure:
-    labels = [str(i) for i in range(n)]
-    return make_structure(get_theory("urel"), {"el": labels},
-                          relations={"mark": [(str(i),) for i in marked]}, name=name)
-
-
 def m_lattice(n: int) -> PartialStructure:
     """Bounded lattice with n pairwise incomparable atoms between 0 and 1."""
     atoms = [f"a{i}" for i in range(n)]
@@ -460,12 +454,6 @@ _STRUCTURES = {
     "cycle-3": lambda: cycle_endo(3),
     "cycle-4": lambda: cycle_endo(4),
 }
-
-
-def get_structure(name: str) -> PartialStructure:
-    if name not in _STRUCTURES:
-        raise KeyError(f"unknown structure '{name}'")
-    return _STRUCTURES[name]()
 
 
 def structure_names() -> list:

@@ -13,7 +13,6 @@ tuple and a sequent like `top |- def(c())` rules out the empty structure.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -128,16 +127,6 @@ def satisfies(X: PartialStructure, env: dict, formula: Formula) -> bool:
 def context_envs(X: PartialStructure, context: tuple) -> Iterator[tuple]:
     """All assignments of carrier elements to the context, in carrier order."""
     return itertools.product(*(X.carrier(s) for _, s in context))
-
-
-def eval_formula(X: PartialStructure, context: tuple, formula: Formula) -> frozenset:
-    """Subset of the context product where the formula holds."""
-    names = [v for v, _ in context]
-    out = []
-    for vals in context_envs(X, context):
-        if satisfies(X, dict(zip(names, vals)), formula):
-            out.append(vals)
-    return frozenset(out)
 
 
 def interpreted_witness(X: PartialStructure, seq: Sequent) -> Optional[dict]:
@@ -457,8 +446,6 @@ def canonical_key(X: PartialStructure) -> str:
     order.  Past RELABEL_BUDGET relabelings (the product of the carrier
     factorials) it raises BudgetError before any search.
 
-    The relabeling comes from an exact branch-and-bound search
-    (`canonical.least_relabeling`), not a trial of every relabeling.
     Under the budget every sort has at most 9 elements, so labels are single
     digits, and every relabeling gives each symbol the same number of
     entries of the same shapes.  Two encodings therefore differ only in
@@ -469,17 +456,11 @@ def canonical_key(X: PartialStructure) -> str:
     equal entry counts, the first tuple where two tables differ is the first
     place where their sorted entry lists differ.)
 
-    Labels are assigned in increasing order as the cells first need them.
-    Where a cell's arguments need the next label of a sort, the search
-    branches on which unlabeled element takes it; an unlabeled function
-    value takes the next label of its sort, forced, as any other label makes
-    that cell larger.  Each cell is compared with the least vector found so
-    far and the branch is cut once a cell is larger.  Twins, elements y and
-    z of one sort such that swapping them is an automorphism, lead to the
-    same vectors, so a branch tries one unlabeled element per twin class;
-    sets and antichains then take one descent.  When every sort has at most
-    one element there is one relabeling, encoded directly.  The key is
-    built from the winning relabeling.
+    The relabeling comes from `canonical.least_relabeling`, which refines an
+    ordered partition of each sort, sorting tied elements together and
+    branching only where a label must go to one element of a block.  When
+    every sort has at most one element there is one relabeling, encoded
+    directly.  The key is built from the winning relabeling.
     """
     sig = X.theory.signature
     total = 1
@@ -753,6 +734,10 @@ def structure_from_json(d: dict, theory: Theory) -> PartialStructure:
                 raise ValidationError(f"the {what} of {kind} {name!r} is not an array")
             if what == "table" and not all(isinstance(row, list) for row in entry):
                 raise ValidationError(f"a row of {kind} {name!r} is not an array")
+            if not all(isinstance(a, str) for a in (
+                    entry if what == "carrier" else itertools.chain(*entry))):
+                raise ValidationError(f"the {what} of {kind} {name!r} holds a label "
+                                      "that is not a string")
     functions = {}
     for f, (argsorts, _) in sig.functions.items():
         table = {}
@@ -772,9 +757,3 @@ def structure_from_json(d: dict, theory: Theory) -> PartialStructure:
     )
     validate_structure(X)
     return X
-
-
-def save_structure(path: str, X: PartialStructure) -> None:
-    with open(path, "w") as fh:
-        json.dump(structure_to_json(X), fh, indent=2, sort_keys=True)
-        fh.write("\n")

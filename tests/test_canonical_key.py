@@ -6,7 +6,8 @@ with the branch-and-bound search, so equal strings on the inputs below mean
 the search returns the least encoding, not merely some isomorphism
 invariant.  The inputs cover one and several sorts, partial and nullary
 functions, relations, products, random digraphs and posets with planted
-relabeled copies, and the symmetric inputs where twins prune.
+relabeled copies, every digraph on three elements, a two-sort theory whose
+symbols cross sorts, and the symmetric inputs where twins prune.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import pytest
 from phl.closure import enumerate_models
 from phl.corpus import antichain_poset, get_theory, set_of, theory_names
 from phl.homsearch import find_hom
+from phl.parser import parse_theory
 from phl.structures import PartialStructure, canonical_key, make_structure, product
 
 
@@ -188,15 +190,47 @@ RANDOM_DRAWS = {
 }
 
 
+def assert_key_is_least_with_a_copy(rng, X):
+    key = brute_force_key(X)
+    assert canonical_key(X) == key, (X.theory.name, X.carriers, X.functions, X.relations)
+    assert canonical_key(relabeled(rng, X)) == key
+
+
 @pytest.mark.parametrize("kind", sorted(RANDOM_DRAWS))
 def test_key_matches_brute_force_on_random_structures_and_planted_copies(kind):
     rng = random.Random(kind)
-    for n, count in [(5, 8), (6, 3), (7, 1)]:
+    for n, count in [(5, 8), (6, 3), (7, 4)]:
         for _ in range(count):
-            X = RANDOM_DRAWS[kind](rng, n)
-            key = brute_force_key(X)
-            assert canonical_key(X) == key
-            assert canonical_key(relabeled(rng, X)) == key
+            assert_key_is_least_with_a_copy(rng, RANDOM_DRAWS[kind](rng, n))
+
+
+def test_key_matches_brute_force_on_every_digraph_on_three_elements():
+    labels = ("0", "1", "2")
+    pairs = list(itertools.product(labels, repeat=2))
+    for bits in range(1 << len(pairs)):
+        tuples = {t for i, t in enumerate(pairs) if bits >> i & 1}
+        assert_key_is_least(
+            PartialStructure(get_theory("brel"), {"el": labels}, {}, {"r": tuples}))
+
+
+# a constant, a binary function from both sorts into the second, a unary
+# function back into the first, and a ternary relation across the sorts
+MIXED = parse_theory("""
+theory mixed {
+  sorts a, b;
+  functions c : -> a, h : a * b -> b, g : b -> a;
+  relations t : a * b * a;
+}
+""")
+
+
+def test_key_matches_brute_force_on_a_two_sort_theory_across_sorts():
+    rng = random.Random("mixed")
+    for _ in range(150):
+        na = rng.randint(0, 5)
+        nb = rng.randint(0, 7 - na)
+        X = random_structure(rng, MIXED, {"a": na, "b": nb}, density=rng.random() * 0.5)
+        assert_key_is_least_with_a_copy(rng, X)
 
 
 def test_key_matches_brute_force_where_twins_prune():

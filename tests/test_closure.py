@@ -379,7 +379,12 @@ def _carrier_as_string(row):
     row["structure"]["carriers"]["el"] = "".join(row["structure"]["carriers"]["el"])
 
 
+def _number_the_labels(row):
+    row["structure"]["carriers"]["el"] = list(range(len(row["structure"]["carriers"]["el"])))
+
+
 @pytest.mark.parametrize("damage,reason", [
+    (_number_the_labels, "the carrier of sort 'el' holds a label that is not a string"),
     (_repeat_a_label, "carrier of sort 'el' repeats a label"),
     (_structure_as_list, "the structure is not a JSON object"),
     (_carrier_as_string, "the carrier of sort 'el' is not an array"),

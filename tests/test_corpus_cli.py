@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import phl
+from phl import corpus
 from phl.cli import main
 from phl.corpus import (
     chain_names,
@@ -16,13 +17,17 @@ from phl.corpus import (
     list_corpus,
     morphism_names,
     structure_names,
-    get_structure,
     theory_names,
 )
 from phl.report import RunContext, all_match, emit_report, run_targets
-from phl.structures import hom_violation, is_model, save_structure
+from phl.structures import hom_violation, is_model, structure_to_json
 from phl.syntax import print_theory, validate_morphism, validate_theory
 from phl.targets import all_tags, get_target, target_names, targets_with_tag
+
+
+def save_structure(path, X):
+    with open(path, "w") as fh:
+        json.dump(structure_to_json(X), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +41,7 @@ def test_every_corpus_theory_validates():
 
 def test_every_corpus_structure_is_a_model():
     for name in structure_names():
-        X = get_structure(name)
+        X = corpus._STRUCTURES[name]()
         assert is_model(X), name
 
 
@@ -201,6 +206,8 @@ def test_cli_hom_refuses_a_name_outside_the_signature(tmp_path, capsys):
     ("[1, 2]", "the structure is not a JSON object"),
     ('{"signature": "pos", "carriers": {"el": "01"}, "relations": {"leq": ["00", "11", "01"]}}',
      "the carrier of sort 'el' is not an array"),
+    ('{"signature": "pos", "carriers": {"el": [[0]]}, "relations": {"leq": []}}',
+     "the carrier of sort 'el' holds a label that is not a string"),
 ])
 def test_cli_hom_refuses_a_malformed_document(tmp_path, capsys, doc, reason):
     """Either file; a source that names no signature is read with --theory."""

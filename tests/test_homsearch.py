@@ -13,7 +13,6 @@ from phl.corpus import (
     nset_structure,
     presheaf_L,
     set_of,
-    urel_of,
 )
 from phl.homsearch import (
     enumerate_homs,
@@ -31,6 +30,7 @@ from phl.structures import (
     make_structure,
 )
 from phl.syntax import Signature, Theory, ValidationError
+from test_structures import urel_of
 
 
 def brute_force_homs(X, Y, restrict=None):

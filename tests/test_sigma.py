@@ -15,7 +15,6 @@ from phl.corpus import (
     m_lattice,
     ordinal_U,
     set_of,
-    urel_of,
 )
 from phl.groups import cyclic_group, symmetric_3, trivial_group
 from phl.homsearch import HomPlan, find_hom
@@ -43,6 +42,7 @@ from phl.sigma import (
 )
 from phl.structures import structure_size
 from phl.syntax import ValidationError
+from test_structures import urel_of
 
 
 def quiver(labels, arcs):

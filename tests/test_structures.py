@@ -14,7 +14,6 @@ from phl.corpus import (
     nset_structure,
     poset_structure,
     set_of,
-    urel_of,
 )
 from phl.homsearch import enumerate_homs, hom_exists
 from phl.parser import parse_sequents
@@ -23,8 +22,8 @@ from phl.structures import (
     canonical_key,
     chain_colimit,
     compose,
+    context_envs,
     disjoint_union,
-    eval_formula,
     eval_term,
     hom_violation,
     identity_hom,
@@ -36,12 +35,26 @@ from phl.structures import (
     projection,
     pullback,
     reduct,
+    satisfies,
     sequent_witness,
     structure_from_json,
     structure_to_json,
     validate_structure,
 )
 from phl.syntax import And, App, BudgetError, Eq, RelAtom, Var, ValidationError
+
+
+def eval_formula(X, context, formula):
+    """Subset of the context product where the formula holds."""
+    names = [v for v, _ in context]
+    return frozenset(vals for vals in context_envs(X, context)
+                     if satisfies(X, dict(zip(names, vals)), formula))
+
+
+def urel_of(n, marked):
+    """n elements labelled "0", "1", ..., with the elements `marked` marked."""
+    return make_structure(get_theory("urel"), {"el": [str(i) for i in range(n)]},
+                          relations={"mark": [(str(i),) for i in marked]})
 
 
 def test_eval_term_partial():
@@ -282,9 +295,16 @@ def test_json_round_trip():
      "a row of function 'f' is not an array"),
     ("pos", {"carriers": {"el": ["0", "1"]}, "relations": {"leq": ["00", "11", "01"]}},
      "a row of relation 'leq' is not an array"),
+    ("pos", {"carriers": {"el": [[0]]}},
+     "the carrier of sort 'el' holds a label that is not a string"),
+    ("pos", {"carriers": {"el": [0, 1]}},
+     "the carrier of sort 'el' holds a label that is not a string"),
+    ("end", {"carriers": {"el": ["0"]}, "functions": {"f": [["0", 0]]}},
+     "the table of function 'f' holds a label that is not a string"),
 ])
 def test_structure_from_json_refuses_a_malformed_document(name, doc, reason):
-    """A string carrier or row would otherwise be read as its characters."""
+    """A string carrier or row would otherwise be read as its characters, and
+    a list label would fail unhashed, or a number be read as another label."""
     if isinstance(doc, dict):
         doc = {"signature": name, **doc}
     with pytest.raises(ValidationError) as exc:
