@@ -41,10 +41,8 @@ def least_relabeling(X: PartialStructure) -> dict:
     """
     sig = X.theory.signature
     carriers = {s: X.carrier(s) for s in sig.sorts}
-    tables = [(argsorts, result, X.functions.get(f, {}))
-              for f, (argsorts, result) in sig.functions.items()]
-    tables += [(argsorts, None, X.relations.get(r, set()))
-               for r, argsorts in sig.relations.items()]
+    tables = [(sorts, is_function, set(X.rows(name, is_function)))
+              for name, sorts, is_function in sig.symbols()]
     twins = _twin_classes(carriers, tables)
     # Elements are numbered by their first slot; slot `lone` holds one more
     # element, alone in its block: the argument of a nullary symbol and the
@@ -64,11 +62,14 @@ def least_relabeling(X: PartialStructure) -> dict:
     cut[lone] = cut[undefined] = True
     runs = []  # (argument slots but the last, last argument slots, rows, first cell)
     cells = 0
-    for argsorts, result, table in tables:
+    for sorts, is_function, table in tables:
+        argsorts = sorts[:-1] if is_function else sorts
         rows = {}  # argument elements but the last -> {last: value}
-        for args in table:
-            key = tuple(ids[s][a] for s, a in zip(argsorts, args)) or (lone,)
-            rows.setdefault(key[:-1], {})[key[-1]] = ids[result][table[args]] if result else lone
+        numbers, arity = [ids[s] for s in sorts], len(argsorts)
+        for row in table:
+            key = tuple(map(dict.__getitem__, numbers, row))
+            args = key[:arity] or (lone,)
+            rows.setdefault(args[:-1], {})[args[-1]] = key[-1] if is_function else lone
         *heads, last = [slots_of[s] for s in argsorts] or [range(lone, undefined)]
         for prefix in itertools.product(*heads):
             runs.append((prefix, last, rows, cells - last.start))
@@ -147,23 +148,18 @@ def least_relabeling(X: PartialStructure) -> dict:
 
 def _twin_classes(carriers: dict, tables: list) -> dict:
     """Per sort, each element's twin class, named by the first element of
-    the carrier that the element can be swapped with by an automorphism."""
+    the carrier that the element can be swapped with by an automorphism: one
+    that sends every row of every table to a row."""
 
     def swap_is_automorphism(s, y, z):
         swap = {y: z, z: y}
-        for argsorts, result, table in tables:
-            if s not in argsorts and result != s:
+        for sorts, _, rows in tables:
+            if s not in sorts:
                 continue
-            for args in table:
-                image = args
-                if y in args or z in args:  # perhaps as a label of another sort
-                    image = tuple(swap.get(a, a) if t == s else a for t, a in zip(argsorts, args))
-                if image not in table:
+            for row in rows:
+                if (y in row or z in row) and tuple(  # perhaps as a label of another sort
+                        swap.get(a, a) if t == s else a for t, a in zip(sorts, row)) not in rows:
                     return False
-                if result is not None:
-                    value = table[args]
-                    if table[image] != (swap.get(value, value) if result == s else value):
-                        return False
         return True
 
     classes = {}

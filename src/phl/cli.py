@@ -229,7 +229,6 @@ def _cmd_corpus(args) -> int:
         for entry in inventory[section]:
             note = entry.get("note", "")
             print(f"  {entry['name']:<24} {note}")
-    print("structures:", ", ".join(inventory["structures"]))
     print("groups:", ", ".join(inventory["groups"]))
     print(f"targets: {len(TARGETS)} (phl repro --list)")
     return 0

@@ -183,15 +183,15 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None) ->
         if cached is not None:
             return cached
     sig = theory.signature
-    symbols = [(f, sig.functions[f][0]) for f in sig.functions]
-    symbols += [(r, sig.relations[r]) for r in sig.relations]
-    argsorts_of = dict(symbols)
-    result_of = {f: result for f, (_, result) in sig.functions.items()}
+    symbols = sig.symbols()
+    argsorts_of = {name: sorts[:-1] if is_function else sorts
+                   for name, sorts, is_function in symbols}
+    result_of = {name: sorts[-1] for name, sorts, is_function in symbols if is_function}
     ground = []
-    axioms_of = {name: [] for name, _ in symbols}  # by the last symbol mentioned
+    axioms_of = {name: [] for name in argsorts_of}  # by the last symbol mentioned
     for seq in theory.axioms:
         fns, rels = sequent_symbols(seq)
-        named = [name for name, _ in symbols if name in fns or name in rels]
+        named = [name for name in argsorts_of if name in fns or name in rels]
         (axioms_of[named[-1]] if named else ground).append(seq)
 
     found = []  # (canonical key, member), one per isomorphism class
@@ -202,14 +202,10 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None) ->
         open cells), and the axioms to check before the first cell."""
         upfront = list(ground)
         cells = []
-        for name, argsorts in symbols:
-            if name in sig.functions:
-                table = X.functions[name]
-                values = (None,) + X.carrier(sig.functions[name][1])
-            else:
-                table = X.relations[name]
-                values = (False, True)
-            space = list(itertools.product(*(X.carrier(s) for s in argsorts)))
+        for name, sorts, is_function in symbols:
+            table = X.table(name, is_function)
+            values = (None,) + X.carrier(sorts[-1]) if is_function else (False, True)
+            space = list(itertools.product(*(X.carrier(s) for s in argsorts_of[name])))
             if not space:  # checked exactly once the symbols before it are set
                 (cells[-1][4] if cells else upfront).extend(axioms_of[name])
             for j, args in enumerate(space):
@@ -401,7 +397,7 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
             return _damaged_cache(path, f"row {number} lacks a string key or a structure")
         try:
             members.append(structure_from_json(row["structure"], theory))
-        except (ValidationError, AttributeError, TypeError) as exc:
+        except ValidationError as exc:
             return _damaged_cache(path, f"row {number} holds no valid structure ({exc})")
         keys.append(row["key"])
     try:

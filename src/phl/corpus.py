@@ -440,26 +440,6 @@ def gset_orbit_structure(G: FiniteGroup, H: frozenset, tag: int = 0) -> PartialS
                           name=f"{G.name}/{'{' + ','.join(sorted(H)) + '}'}")
 
 
-_STRUCTURES = {
-    "empty-set": lambda: set_of(0, "empty"),
-    "set-1": lambda: set_of(1),
-    "set-2": lambda: set_of(2),
-    "set-3": lambda: set_of(3),
-    "chain-2": lambda: chain_poset(2),
-    "chain-3": lambda: chain_poset(3),
-    "antichain-2": lambda: antichain_poset(2),
-    "m2": lambda: m_lattice(2),
-    "m3": lambda: m_lattice(3),
-    "cycle-2": lambda: cycle_endo(2),
-    "cycle-3": lambda: cycle_endo(3),
-    "cycle-4": lambda: cycle_endo(4),
-}
-
-
-def structure_names() -> list:
-    return sorted(_STRUCTURES)
-
-
 # ---------------------------------------------------------------------------
 # chains
 
@@ -667,7 +647,6 @@ def list_corpus() -> dict:
         "theories": theories,
         "chains": chains,
         "morphisms": morphisms,
-        "structures": structure_names(),
         "groups": sorted(_GROUPS),
         "families": families,
     }

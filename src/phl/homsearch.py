@@ -91,47 +91,38 @@ class HomPlan:
             self._numbers[s] = dict(zip(carrier, range(start, start + len(carrier))))
             self._masks[s] = ((1 << len(carrier)) - 1) << start
             self._elements += carrier
-        self._rows = {}  # (symbol, is_function) -> _encoded's list
+        self._rows = {}  # symbol -> _encoded's list
         self._source = None
-        self._supports = {}  # (symbol, is_function, pattern) -> _support's triple
+        self._supports = {}  # (symbol, pattern) -> _support's triple
 
-    def _encoded(self, name: str, is_function: bool) -> list:
-        """One symbol's tuples as element numbers; a function gives the
-        tuples (args..., value) of its graph."""
-        got = self._rows.get((name, is_function))
+    def _encoded(self, symbol: tuple) -> list:
+        """The rows of one symbol, an entry of `Signature.symbols`, as
+        element numbers."""
+        got = self._rows.get(symbol)
         if got is None:
-            X = self.structure
-            sig = X.theory.signature
-            if is_function:
-                argsorts, result = sig.functions[name]
-                numbers = list(map(self._numbers.__getitem__, argsorts + (result,)))
-                tuples = [args + (val,) for args, val in X.functions.get(name, {}).items()]
-            else:
-                numbers = list(map(self._numbers.__getitem__, sig.relations[name]))
-                tuples = X.relations.get(name, ())
-            got = self._rows[name, is_function] = [
-                tuple(map(dict.__getitem__, numbers, t)) for t in tuples]
+            name, sorts, is_function = symbol
+            numbers = list(map(self._numbers.__getitem__, sorts))
+            got = self._rows[symbol] = [tuple(map(dict.__getitem__, numbers, row))
+                                        for row in self.structure.rows(name, is_function)]
         return got
 
     def _source_tables(self) -> tuple:
         """(variable sorts, constraint keys, scopes per key, links,
-        components).  A key is (symbol, is_function, pattern): the pattern
-        numbers each position by the first position of its variable among the
-        distinct ones, or is None when the variables are all distinct.  A
-        scope is the tuple of distinct variables of one entry or tuple.
+        components).  A key is (symbol, pattern): the pattern numbers each
+        position by the first position of its variable among the distinct
+        ones, or is None when the variables are all distinct.  A scope is the
+        tuple of distinct variables of one row.
         links[v] lists (scope, key number) for the scopes of two or more
         variables that hold v.  Components of one variable are left out: the
         initial domains settle them."""
-        sig = self.structure.theory.signature
         number, scopes, links = {}, [], [[] for _ in self._elements]
-        symbols = [(f, True) for f in sig.functions] + [(r, False) for r in sig.relations]
-        for name, is_function in symbols:
-            for scope in self._encoded(name, is_function):
+        for symbol in self.structure.theory.signature.symbols():
+            for scope in self._encoded(symbol):
                 pattern = None
                 if len(set(scope)) < len(scope):
                     vs, scope = scope, tuple(dict.fromkeys(scope))
                     pattern = tuple(map(scope.index, vs))
-                n = number.setdefault((name, is_function, pattern), len(scopes))
+                n = number.setdefault((symbol, pattern), len(scopes))
                 if n == len(scopes):
                     scopes.append([])
                 scopes[n].append(scope)
@@ -163,8 +154,8 @@ class HomPlan:
         takes in the target tuples that fit the pattern; supports[k] maps
         the values of the other positions to the bitset of values position k
         may take; inhabited says whether any tuple fits."""
-        name, is_function, pattern = key
-        rows = self._encoded(name, is_function)
+        symbol, pattern = key
+        rows = self._encoded(symbol)
         if pattern is not None:  # keep the tuples that repeat as the pattern does
             first = [pattern.index(k) for k in range(max(pattern) + 1)]
             rows = [tuple(map(t.__getitem__, first)) for t in rows

@@ -2,11 +2,12 @@
 
 A structure carries, per sort, a finite tuple of labels, per function symbol a
 partial table (dict from argument tuples to values) and per relation symbol a
-set of tuples.  Formula evaluation follows the partial reading: a compound
-term is defined only when all arguments are and the table has an entry, a
-relation atom holds only when its arguments are defined, and an equation holds
-only when both sides are defined and equal.  Conjunction intersects and `top`
-is the full product, so over the empty context `top` is inhabited by the empty
+set of tuples; `PartialStructure.rows` reads either as rows, a function as its
+graph.  Formula evaluation follows the partial reading: a compound term is
+defined only when all arguments are and the table has an entry, a relation
+atom holds only when its arguments are defined, and an equation holds only
+when both sides are defined and equal.  Conjunction intersects and `top` is
+the full product, so over the empty context `top` is inhabited by the empty
 tuple and a sequent like `top |- def(c())` rules out the empty structure.
 """
 
@@ -44,6 +45,26 @@ class PartialStructure:
     def carrier(self, sort) -> tuple:
         return self.carriers.get(sort, ())
 
+    def table(self, name: str, is_function: bool):
+        """One symbol's table: a function's dict or a relation's set (or ()
+        when it has none).  Either way an argument tuple is in it exactly
+        when its cell is present."""
+        return (self.functions if is_function else self.relations).get(name, ())
+
+    def rows(self, name: str, is_function: bool):
+        """One symbol's table as rows: the tuples (args..., value) of a
+        function's graph, or a relation's tuples."""
+        if is_function:
+            return [(*args, value) for args, value in self.functions.get(name, {}).items()]
+        return self.relations.get(name, ())
+
+    def set_rows(self, name: str, is_function: bool, rows: Iterable) -> None:
+        """Make one symbol's table the one these rows (see `rows`) list."""
+        if is_function:
+            self.functions[name] = {tuple(row[:-1]): row[-1] for row in rows}
+        else:
+            self.relations[name] = set(map(tuple, rows))
+
 
 def make_structure(theory: Theory, carriers: dict, functions=None, relations=None,
                    name: str = "") -> PartialStructure:
@@ -60,27 +81,29 @@ def make_structure(theory: Theory, carriers: dict, functions=None, relations=Non
 
 
 def validate_structure(X: PartialStructure) -> None:
-    sig = X.theory.signature
-    for s in sig.sorts:
-        c = X.carrier(s)
-        if len(set(c)) != len(c):
+    labels = _label_sets(X.theory, X.carriers)
+    for name, sorts, is_function in X.theory.signature.symbols():
+        _check_rows(name, sorts, X.rows(name, is_function), labels)
+
+
+def _label_sets(theory: Theory, carriers: dict) -> dict:
+    """Per sort, the set of its labels; raises when a carrier repeats one."""
+    labels = {}
+    for s in theory.signature.sorts:
+        c = carriers.get(s, ())
+        labels[s] = set(c)
+        if len(labels[s]) != len(c):
             raise ValidationError(f"carrier of sort '{s}' repeats a label")
-    for f, (argsorts, result) in sig.functions.items():
-        for args, val in X.functions.get(f, {}).items():
-            if len(args) != len(argsorts):
-                raise ValidationError(f"entry of '{f}' has wrong arity")
-            for a, s in zip(args, argsorts):
-                if a not in X.carrier(s):
-                    raise ValidationError(f"entry of '{f}' uses '{a}' outside sort '{s}'")
-            if val not in X.carrier(result):
-                raise ValidationError(f"value of '{f}' lies outside sort '{result}'")
-    for r, argsorts in sig.relations.items():
-        for args in X.relations.get(r, ()):
-            if len(args) != len(argsorts):
-                raise ValidationError(f"tuple in '{r}' has wrong arity")
-            for a, s in zip(args, argsorts):
-                if a not in X.carrier(s):
-                    raise ValidationError(f"tuple in '{r}' uses '{a}' outside sort '{s}'")
+    return labels
+
+
+def _check_rows(name: str, sorts: tuple, rows: Iterable, labels: dict) -> None:
+    for row in rows:
+        if len(row) != len(sorts):
+            raise ValidationError(f"row of '{name}' has wrong length")
+        for a, s in zip(row, sorts):
+            if a not in labels[s]:
+                raise ValidationError(f"row of '{name}' uses '{a}' outside sort '{s}'")
 
 
 def structure_size(X: PartialStructure) -> int:
@@ -343,6 +366,7 @@ def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
 
 def hom_violation(h: Homomorphism) -> Optional[str]:
     """None when h is a homomorphism, else a reason with a witness."""
+    # Raw tables, no helper shared with HomPlan: the tests check HomPlan against it.
     X, Y = h.source, h.target
     sig = X.theory.signature
     for s in sig.sorts:
@@ -401,14 +425,13 @@ def jointly_closed_mono(X: PartialStructure, homs: Iterable) -> bool:
         for a, b in itertools.combinations(X.carrier(s), 2):
             if all(h.maps[s][a] == h.maps[s][b] for h in replay()):
                 return False
-    symbols = [("functions", f, argsorts) for f, (argsorts, _) in sig.functions.items()]
-    symbols += [("relations", r, argsorts) for r, argsorts in sig.relations.items()]
-    for kind, name, argsorts in symbols:
-        held = getattr(X, kind).get(name, ())
+    for name, sorts, is_function in sig.symbols():
+        argsorts = sorts[:-1] if is_function else sorts
+        held = X.table(name, is_function)
         for args in itertools.product(*(X.carrier(s) for s in argsorts)):
             if args not in held and all(
                     tuple(h.maps[s][a] for s, a in zip(argsorts, args))
-                    in getattr(h.target, kind).get(name, ()) for h in replay()):
+                    in h.target.table(name, is_function) for h in replay()):
                 return False
     return True
 
@@ -509,31 +532,24 @@ def _product_on(theory: Theory, factors: list, carriers: dict, name: str) -> Par
     """The substructure of the product of `factors` on `carriers`, tuples of
     factor elements, in itertools.product order of its argument tuples.  The
     carriers must be closed under the product's defined operations."""
-    sig = theory.signature
-    functions = {}
-    for f, (argsorts, result) in sig.functions.items():
-        table = {}
+    P = PartialStructure(theory, carriers, name=name)
+    for sym, sorts, is_function in theory.signature.symbols():
+        argsorts = sorts[:-1] if is_function else sorts
+        tables = [F.table(sym, is_function) for F in factors]
+        rows = []
         for args in itertools.product(*(carriers[s] for s in argsorts)):
             # args is a tuple of product elements; slice per factor
             vals = []
-            for i, F in enumerate(factors):
+            for i, table in enumerate(tables):
                 entry = tuple(a[i] for a in args)
-                v = F.functions.get(f, {}).get(entry)
-                if v is None:
+                if entry not in table:
                     break
-                vals.append(v)
+                if is_function:
+                    vals.append(table[entry])
             else:
-                table[args] = tuple(vals)
-        functions[f] = table
-    relations = {}
-    for r, argsorts in sig.relations.items():
-        held = set()
-        for args in itertools.product(*(carriers[s] for s in argsorts)):
-            if all(tuple(a[i] for a in args) in F.relations.get(r, set())
-                   for i, F in enumerate(factors)):
-                held.add(args)
-        relations[r] = held
-    return PartialStructure(theory, carriers, functions, relations, name)
+                rows.append((*args, tuple(vals)) if is_function else args)
+        P.set_rows(sym, is_function, rows)
+    return P
 
 
 def projection(P: PartialStructure, factors: list, i: int) -> Homomorphism:
@@ -591,21 +607,10 @@ def disjoint_union(theory: Theory, parts: list, name: str = "") -> tuple:
         s: tuple((i, a) for i, P in enumerate(parts) for a in P.carrier(s))
         for s in sig.sorts
     }
-    functions = {}
-    for f, (argsorts, result) in sig.functions.items():
-        table = {}
-        for i, P in enumerate(parts):
-            for args, val in P.functions.get(f, {}).items():
-                table[tuple((i, a) for a in args)] = (i, val)
-        functions[f] = table
-    relations = {}
-    for r, argsorts in sig.relations.items():
-        relations[r] = {
-            tuple((i, a) for a in args)
-            for i, P in enumerate(parts)
-            for args in P.relations.get(r, set())
-        }
-    X = PartialStructure(theory, carriers, functions, relations, name)
+    X = PartialStructure(theory, carriers, name=name)
+    for sym, _, is_function in sig.symbols():
+        X.set_rows(sym, is_function, [tuple((i, a) for a in row) for i, P in enumerate(parts)
+                                      for row in P.rows(sym, is_function)])
     cops = [
         Homomorphism(P, X, {s: {a: (i, a) for a in P.carrier(s)} for s in sig.sorts},
                      f"inj{i}")
@@ -697,20 +702,13 @@ def _label_str(label) -> str:
 
 def structure_to_json(X: PartialStructure) -> dict:
     sig = X.theory.signature
-    return {
-        "signature": X.theory.name,
-        "name": X.name,
-        "carriers": {s: [_label_str(a) for a in X.carrier(s)] for s in sig.sorts},
-        "functions": {
-            f: sorted([_label_str(a) for a in args] + [_label_str(val)]
-                      for args, val in X.functions.get(f, {}).items())
-            for f in sig.functions
-        },
-        "relations": {
-            r: sorted([_label_str(a) for a in args] for args in X.relations.get(r, set()))
-            for r in sig.relations
-        },
-    }
+    tables = {"functions": {}, "relations": {}}
+    for name, _, is_function in sig.symbols():
+        tables["functions" if is_function else "relations"][name] = sorted(
+            list(map(_label_str, row)) for row in X.rows(name, is_function))
+    return {"signature": X.theory.name, "name": X.name,
+            "carriers": {s: [_label_str(a) for a in X.carrier(s)] for s in sig.sorts},
+            **tables}
 
 
 def structure_from_json(d: dict, theory: Theory) -> PartialStructure:
@@ -738,22 +736,11 @@ def structure_from_json(d: dict, theory: Theory) -> PartialStructure:
                     entry if what == "carrier" else itertools.chain(*entry))):
                 raise ValidationError(f"the {what} of {kind} {name!r} holds a label "
                                       "that is not a string")
-    functions = {}
-    for f, (argsorts, _) in sig.functions.items():
-        table = {}
-        for row in d.get("functions", {}).get(f, []):
-            if len(row) != len(argsorts) + 1:
-                raise ValidationError(f"row of '{f}' has wrong length")
-            table[tuple(row[:-1])] = row[-1]
-        functions[f] = table
-    relations = {r: {tuple(row) for row in d.get("relations", {}).get(r, [])}
-                 for r in sig.relations}
-    X = PartialStructure(
-        theory,
-        {s: tuple(d.get("carriers", {}).get(s, ())) for s in sig.sorts},
-        functions,
-        relations,
-        d.get("name", ""),
-    )
-    validate_structure(X)
+    X = PartialStructure(theory, {s: tuple(d.get("carriers", {}).get(s, ())) for s in sig.sorts},
+                         name=d.get("name", ""))
+    labels = _label_sets(theory, X.carriers)
+    for name, sorts, is_function in sig.symbols():
+        rows = d.get("functions" if is_function else "relations", {}).get(name, [])
+        _check_rows(name, sorts, rows, labels)
+        X.set_rows(name, is_function, rows)
     return X

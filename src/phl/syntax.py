@@ -128,6 +128,17 @@ class Signature:
     # name -> arg sorts
     relations: dict = field(default_factory=dict)
 
+    def symbols(self) -> list:
+        """(name, sorts, is_function) per symbol: the functions, then the
+        relations, in declaration order.  A function is read as its graph,
+        so its sorts are its argument sorts followed by its result sort."""
+        out = []
+        for f, (argsorts, result) in self.functions.items():
+            out.append((f, argsorts + (result,), True))
+        for r, argsorts in self.relations.items():
+            out.append((r, argsorts, False))
+        return out
+
 
 @dataclass
 class Theory:
@@ -244,24 +255,16 @@ def validate_theory(theory: Theory) -> None:
     if len(set(sig.sorts)) != len(sig.sorts):
         raise ValidationError("repeated sort name")
     seen = set(sig.sorts)
-    for name, (argsorts, result) in sig.functions.items():
-        if name in RESERVED:
-            raise ValidationError(f"reserved word '{name}' used as function symbol")
-        if name in seen:
-            raise ValidationError(f"symbol '{name}' declared twice")
-        seen.add(name)
-        for s in argsorts + (result,):
-            if s not in sig.sorts:
-                raise ValidationError(f"function '{name}' mentions unknown sort '{s}'")
-    for name, argsorts in sig.relations.items():
+    for name, sorts, is_function in sig.symbols():
+        kind = "function" if is_function else "relation"
         if name in RESERVED or name == "=":
-            raise ValidationError(f"reserved word '{name}' used as relation symbol")
+            raise ValidationError(f"reserved word '{name}' used as {kind} symbol")
         if name in seen:
             raise ValidationError(f"symbol '{name}' declared twice")
         seen.add(name)
-        for s in argsorts:
+        for s in sorts:
             if s not in sig.sorts:
-                raise ValidationError(f"relation '{name}' mentions unknown sort '{s}'")
+                raise ValidationError(f"{kind} '{name}' mentions unknown sort '{s}'")
     for seq in theory.axioms:
         validate_sequent(seq, sig)
 
@@ -339,23 +342,16 @@ def validate_morphism(m: TheoryMorphism) -> None:
             raise ValidationError(f"morphism '{m.name}' misses sort '{s}'")
         if m.sort_map[s] not in tgt.sorts:
             raise ValidationError(f"morphism '{m.name}' sends '{s}' to unknown sort")
-    for f, (argsorts, result) in src.functions.items():
-        if f not in m.fn_map:
-            raise ValidationError(f"morphism '{m.name}' misses function '{f}'")
-        g = m.fn_map[f]
-        if g not in tgt.functions:
-            raise ValidationError(f"morphism '{m.name}' sends '{f}' to unknown function")
-        want = (tuple(m.sort_map[s] for s in argsorts), m.sort_map[result])
-        if tgt.functions[g] != want:
+    target_sorts = {(g, is_function): sorts for g, sorts, is_function in tgt.symbols()}
+    for f, sorts, is_function in src.symbols():
+        kind, symbol_map = ("function", m.fn_map) if is_function else ("relation", m.rel_map)
+        if f not in symbol_map:
+            raise ValidationError(f"morphism '{m.name}' misses {kind} '{f}'")
+        image_sorts = target_sorts.get((symbol_map[f], is_function))
+        if image_sorts is None:
+            raise ValidationError(f"morphism '{m.name}' sends '{f}' to unknown {kind}")
+        if image_sorts != tuple(m.sort_map[s] for s in sorts):
             raise ValidationError(f"morphism '{m.name}' breaks arity of '{f}'")
-    for r, argsorts in src.relations.items():
-        if r not in m.rel_map:
-            raise ValidationError(f"morphism '{m.name}' misses relation '{r}'")
-        g = m.rel_map[r]
-        if g not in tgt.relations:
-            raise ValidationError(f"morphism '{m.name}' sends '{r}' to unknown relation")
-        if tgt.relations[g] != tuple(m.sort_map[s] for s in argsorts):
-            raise ValidationError(f"morphism '{m.name}' breaks arity of '{r}'")
 
 
 def _rename(node, fn_map: dict, rel_map: dict):

@@ -112,6 +112,26 @@ def test_homs_transport_positive_formulas():
             assert image in eval_formula(Q, ctx, phi)
 
 
+def _end(carrier, f):
+    return make_structure(get_theory("end"), {"el": carrier}, {"f": f})
+
+
+@pytest.mark.parametrize("source,target,maps,reason", [
+    (_end(["0"], {("0",): "0"}), _end(["0"], {}), {"0": "0"},
+     "'f' undefined at image of ('0',)"),
+    (_end(["0"], {("0",): "0"}), _end(["0", "1"], {("0",): "1", ("1",): "1"}), {"0": "0"},
+     "'f' not preserved at ('0',)"),
+    (chain_poset(2), antichain_poset(2), {"0": "0", "1": "1"},
+     "'leq' not preserved at ('0', '1')"),
+    (chain_poset(1), chain_poset(1), {"0": "9"},
+     "image of '0' lies outside the target carrier of 'el'"),
+])
+def test_hom_violation_names_what_breaks(source, target, maps, reason):
+    """hom_violation is the reference the hom search is checked against, so
+    it must refuse each kind of non-homomorphism, not only pass homs."""
+    assert hom_violation(Homomorphism(source, target, {"el": maps})) == reason
+
+
 def test_product_is_componentwise_and_a_model():
     th = get_theory("pos")
     A, B = chain_poset(2), chain_poset(3)
@@ -301,6 +321,10 @@ def test_json_round_trip():
      "the carrier of sort 'el' holds a label that is not a string"),
     ("end", {"carriers": {"el": ["0"]}, "functions": {"f": [["0", 0]]}},
      "the table of function 'f' holds a label that is not a string"),
+    ("end", {"carriers": {"el": ["0"]}, "functions": {"f": [[]]}},
+     "row of 'f' has wrong length"),
+    ("end", {"carriers": {"el": ["0"]}, "functions": {"f": [["0", "0", "0"]]}},
+     "row of 'f' has wrong length"),
 ])
 def test_structure_from_json_refuses_a_malformed_document(name, doc, reason):
     """A string carrier or row would otherwise be read as its characters, and

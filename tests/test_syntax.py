@@ -8,7 +8,9 @@ from phl.syntax import (
     Eq,
     RelAtom,
     Sequent,
+    Signature,
     TOP,
+    Theory,
     TheoryMorphism,
     ValidationError,
     Var,
@@ -83,6 +85,36 @@ def test_validate_theory_rejects_unknown_sort():
         validate_theory(bad)
 
 
+@pytest.mark.parametrize("functions,relations,reason", [
+    ({"def": ((), "el")}, {}, "reserved word 'def' used as function symbol"),
+    ({}, {"=": ("el", "el")}, "reserved word '=' used as relation symbol"),
+    ({"f": (("el",), "el")}, {"f": ("el",)}, "symbol 'f' declared twice"),
+    ({}, {"el": ("el",)}, "symbol 'el' declared twice"),
+    ({"f": (("el",), "nosuch")}, {}, "function 'f' mentions unknown sort 'nosuch'"),
+    ({}, {"r": ("nosuch",)}, "relation 'r' mentions unknown sort 'nosuch'"),
+])
+def test_validate_theory_names_a_bad_declaration(functions, relations, reason):
+    with pytest.raises(ValidationError) as exc:
+        validate_theory(Theory("t", Signature(("el",), functions, relations)))
+    assert str(exc.value) == reason
+
+
+@pytest.mark.parametrize("source,target,fn_map,rel_map,reason", [
+    ("pointed", "group", {}, {}, "misses function 'pt'"),
+    ("pointed", "group", {"pt": "nosuch"}, {}, "sends 'pt' to unknown function"),
+    ("pointed", "group", {"pt": "inv"}, {}, "breaks arity of 'pt'"),
+    ("pos", "brel", {}, {}, "misses relation 'leq'"),
+    ("pos", "group", {}, {"leq": "mul"}, "sends 'leq' to unknown relation"),
+    ("pos", "urel", {}, {"leq": "mark"}, "breaks arity of 'leq'"),
+])
+def test_validate_morphism_names_what_breaks(source, target, fn_map, rel_map, reason):
+    m = TheoryMorphism("m", get_theory(source), get_theory(target), {"el": "el"},
+                       fn_map, rel_map)
+    with pytest.raises(ValidationError) as exc:
+        validate_morphism(m)
+    assert str(exc.value) == f"morphism 'm' {reason}"
+
+
 def test_print_theory_round_trips_whole_corpus():
     from phl.corpus import theory_names
     for name in theory_names():
@@ -119,6 +151,17 @@ def test_relative_judgments_all_admissible():
     rt = ordered_semiring()
     assert len(rt.judgments) == 8
     assert all(check_relative_judgment(rt, j) for j in rt.judgments)
+
+
+@pytest.mark.parametrize("rho,admissible", [
+    ("pos-id", [True] * 8),
+    # leq has no preimage in set, so only the leq premise is refused
+    ("pos-underlying", [True] * 7 + [False]),
+])
+def test_relative_judgments_along_a_morphism(rho, admissible):
+    rt = ordered_semiring()
+    got = [check_relative_judgment(rt, j, get_morphism(rho)) for j in rt.judgments]
+    assert got == admissible
 
 
 def test_relative_judgment_rejects_op_in_premise():
