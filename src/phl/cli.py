@@ -32,10 +32,21 @@ from .syntax import PhlError, print_theory
 from .targets import RunContext, TARGETS, all_tags, get_target, targets_with_tag
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise PhlError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _read_theory(path: str):
+    return parse_theory(_read_text(path), filename=path)
+
+
 def _resolve_theory(name: str):
     if name.endswith(".phl") or os.path.exists(name):
-        with open(name) as fh:
-            return parse_theory(fh.read(), filename=name)
+        return _read_theory(name)
     return get_theory(name)
 
 
@@ -46,8 +57,7 @@ def _structure_line(X) -> str:
 
 
 def _cmd_check(args) -> int:
-    with open(args.file) as fh:
-        theory = parse_theory(fh.read(), filename=args.file)
+    theory = _read_theory(args.file)
     print(f"{theory.name}: {len(theory.signature.sorts)} sorts, "
           f"{len(theory.signature.functions)} functions, "
           f"{len(theory.signature.relations)} relations, "
@@ -83,12 +93,11 @@ def _cmd_models(args) -> int:
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PhlError(f"{path}: invalid JSON at line {exc.lineno} "
-                           f"column {exc.colno}") from None
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise PhlError(f"{path}: invalid JSON at line {exc.lineno} "
+                       f"column {exc.colno}") from None
 
 
 def _cmd_hom(args) -> int:

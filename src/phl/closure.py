@@ -44,9 +44,9 @@ from .syntax import (
     Theory,
     TheoryMorphism,
     ValidationError,
+    formula_symbols,
     morphism_obligations,
     print_theory,
-    sequent_symbols,
     validate_morphism,
 )
 
@@ -190,8 +190,8 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None) ->
     ground = []
     axioms_of = {name: [] for name in argsorts_of}  # by the last symbol mentioned
     for seq in theory.axioms:
-        fns, rels = sequent_symbols(seq)
-        named = [name for name in argsorts_of if name in fns or name in rels]
+        mentioned = formula_symbols(seq.premise, seq.conclusion)
+        named = [name for name in argsorts_of if name in mentioned]
         (axioms_of[named[-1]] if named else ground).append(seq)
 
     found = []  # (canonical key, member), one per isomorphism class
@@ -362,21 +362,26 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
 
     A file for another theory or bound is a silent miss.  A file written in
     another format (UNIVERSE_CACHE_FORMAT; files from before the field have
-    none) and a damaged file (a line that is not JSON, a header that is not
-    an object, fewer or more rows than its header counts, a row without a
-    string key and a valid structure, or two rows with one key) are misses
-    with a warning on stderr, so enumerate_models rebuilds them."""
+    none) and a damaged file (text that is not UTF-8, a line that is not
+    JSON, a header that is not an object, fewer or more rows than its header
+    counts, a row without a string key and a valid structure, or two rows
+    with one key) are misses with a warning on stderr, so enumerate_models
+    rebuilds them."""
     path, digest = universe_cache_file(theory, k, cache_dir)
     if not os.path.exists(path):
         return None
     lines = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    lines.append(json.loads(line))
-                except json.JSONDecodeError:
-                    return _damaged_cache(path, f"line {number} is not valid JSON")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            return _damaged_cache(path, f"the file is not UTF-8 text (byte {exc.start})")
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            try:
+                lines.append(json.loads(line))
+            except json.JSONDecodeError:
+                return _damaged_cache(path, f"line {number} is not valid JSON")
     if not lines:
         return _damaged_cache(path, "the file is empty")
     head = lines[0]

@@ -2,7 +2,7 @@
 
     theory Name {
       sorts s, t;
-      functions f : s * t -> s, c : -> s;
+      functions f : s * t -> s, c : -> t;
       relations r : s * s;
       axioms
         [x : s, y : t] top |- def(f(x, y));
@@ -13,6 +13,10 @@
 `#` starts a line comment.  `&` is conjunction, `top` the empty conjunction,
 `def(t)` sugar for t = t, and `-||-` a bisequent that unfolds into the two
 one-way sequents.  A bare constant name is accepted as shorthand for `c()`.
+Every list is one or more items with a separator between each two: `,` in
+sections, contexts and argument lists, `*` between argument sorts, `&`
+between atoms; a separator is never left dangling.  Contexts and function
+argument lists may also be empty.  Each axiom ends in `;`.
 Relation symbols must be declared before the axioms that use them.
 Diagnostics carry file:line:col positions.
 """
@@ -120,117 +124,84 @@ class _Parser:
             self.fail(f"keyword '{tok.value}' cannot be used as {what}", tok)
         return tok
 
+    def items(self, sep, item, *args) -> list:
+        """One or more `item(*args)`, with the operator `sep` between each two."""
+        out = [item(*args)]
+        while self.at("op", sep):
+            self.next()
+            out.append(item(*args))
+        return out
+
+    def names(self, sep, what) -> list:
+        return [tok.value for tok in self.items(sep, self.ident, what)]
+
     # -- theory ------------------------------------------------------------
 
     def theory(self) -> Theory:
         self.expect("ident", "theory")
         name = self.ident("theory name").value
         self.expect("op", "{")
-        sorts = []
-        functions = {}
-        relations = {}
-        axioms = []
-        flags = []
+        sorts, flags, functions, relations, axioms = [], [], {}, {}, []
         while not self.at("op", "}"):
-            tok = self.peek()
-            if self.at("ident", "sorts"):
-                self.next()
-                sorts.extend(self.ident_list("sort name"))
-                self.expect("op", ";")
-            elif self.at("ident", "functions"):
-                self.next()
-                while True:
-                    fn = self.ident("function symbol")
-                    if fn.value in functions or fn.value in relations:
-                        self.fail(f"symbol '{fn.value}' declared twice", fn)
-                    self.expect("op", ":")
-                    argsorts = []
-                    if not self.at("op", "->"):
-                        argsorts.append(self.ident("sort name").value)
-                        while self.at("op", "*"):
-                            self.next()
-                            argsorts.append(self.ident("sort name").value)
-                    self.expect("op", "->")
-                    result = self.ident("sort name").value
-                    functions[fn.value] = (tuple(argsorts), result)
-                    if self.at("op", ","):
-                        self.next()
-                        continue
-                    break
-                self.expect("op", ";")
-            elif self.at("ident", "relations"):
-                self.next()
-                while True:
-                    rel = self.ident("relation symbol")
-                    if rel.value in functions or rel.value in relations:
-                        self.fail(f"symbol '{rel.value}' declared twice", rel)
-                    self.expect("op", ":")
-                    argsorts = [self.ident("sort name").value]
-                    while self.at("op", "*"):
-                        self.next()
-                        argsorts.append(self.ident("sort name").value)
-                    relations[rel.value] = tuple(argsorts)
-                    if self.at("op", ","):
-                        self.next()
-                        continue
-                    break
-                self.expect("op", ";")
-            elif self.at("ident", "axioms"):
-                self.next()
+            tok = self.next()
+            if tok.value in ("sorts", "flags"):
+                what, out = ("sort name", sorts) if tok.value == "sorts" else ("flag", flags)
+                out.extend(self.names(",", what))
+            elif tok.value in ("functions", "relations"):
+                self.items(",", self.declaration, functions, relations, tok.value == "functions")
+            elif tok.value == "axioms":
                 sig = Signature(tuple(sorts), functions, relations)
                 while self.at("op", "["):
                     axioms.extend(self.sequent(sig))
                     self.expect("op", ";")
-            elif self.at("ident", "flags"):
-                self.next()
-                flags.extend(self.ident_list("flag"))
-                self.expect("op", ";")
+                continue
             else:
-                self.fail(f"expected a section keyword, found '{tok.value or tok.kind}'")
+                self.fail(f"expected a section keyword, found '{tok.value or tok.kind}'", tok)
+            self.expect("op", ";")
         self.expect("op", "}")
-        theory = Theory(name, Signature(tuple(sorts), functions, relations),
-                        tuple(axioms), frozenset(flags))
-        return theory
+        return Theory(name, Signature(tuple(sorts), functions, relations),
+                      tuple(axioms), frozenset(flags))
 
-    def ident_list(self, what) -> list:
-        out = [self.ident(what).value]
-        while self.at("op", ","):
-            self.next()
-            out.append(self.ident(what).value)
-        return out
+    def declaration(self, functions, relations, is_function) -> None:
+        """`name : s1 * ... * sn`, then `-> s` for a function, whose
+        argument sorts may also be none."""
+        tok = self.ident("function symbol" if is_function else "relation symbol")
+        if tok.value in functions or tok.value in relations:
+            self.fail(f"symbol '{tok.value}' declared twice", tok)
+        self.expect("op", ":")
+        argsorts = () if is_function and self.at("op", "->") else tuple(self.names("*", "sort name"))
+        if is_function:
+            self.expect("op", "->")
+            functions[tok.value] = (argsorts, self.ident("sort name").value)
+        else:
+            relations[tok.value] = argsorts
 
     # -- sequents and formulas ----------------------------------------------
 
     def sequent(self, sig: Signature) -> tuple:
         """One `[ctx] lhs |- rhs` (or bisequent); returns the unfolded sequents."""
         start = self.expect("op", "[")
-        context = []
-        seen = set()
-        while not self.at("op", "]"):
+        env = {}
+
+        def entry():
             v = self.ident("variable")
-            if v.value in seen:
+            if v.value in env:
                 self.fail(f"repeated context variable '{v.value}'", v)
-            seen.add(v.value)
             self.expect("op", ":")
-            s = self.ident("sort name")
-            context.append((v.value, s.value))
-            if self.at("op", ","):
-                self.next()
+            env[v.value] = self.ident("sort name").value
+
+        if not self.at("op", "]"):
+            self.items(",", entry)
         self.expect("op", "]")
-        ctx = tuple(context)
-        env = dict(ctx)
+        ctx = tuple(env.items())
         lhs = self.formula(sig, env)
-        tok = self.peek()
-        if self.at("op", "|-"):
-            self.next()
-            rhs = self.formula(sig, env)
-            out = (Sequent(ctx, lhs, rhs),)
-        elif self.at("op", "-||-"):
-            self.next()
-            rhs = self.formula(sig, env)
-            out = bisequent(ctx, lhs, rhs)
+        tok = self.next()
+        if tok.value == "|-":
+            out = (Sequent(ctx, lhs, self.formula(sig, env)),)
+        elif tok.value == "-||-":
+            out = bisequent(ctx, lhs, self.formula(sig, env))
         else:
-            self.fail(f"expected '|-' or '-||-', found '{tok.value or tok.kind}'")
+            self.fail(f"expected '|-' or '-||-', found '{tok.value or tok.kind}'", tok)
         for seq in out:
             try:
                 validate_sequent(seq, sig)
@@ -239,11 +210,7 @@ class _Parser:
         return out
 
     def formula(self, sig, env):
-        atoms = [self.atom(sig, env)]
-        while self.at("op", "&"):
-            self.next()
-            atoms.append(self.atom(sig, env))
-        return conj(*atoms)
+        return conj(*self.items("&", self.atom, sig, env))
 
     def atom(self, sig, env):
         tok = self.peek()
@@ -259,10 +226,7 @@ class _Parser:
         if tok.kind == "ident" and tok.value in sig.relations:
             rel = self.next().value
             self.expect("op", "(")
-            args = [self.term(sig, env)]
-            while self.at("op", ","):
-                self.next()
-                args.append(self.term(sig, env))
+            args = self.items(",", self.term, sig, env)
             self.expect("op", ")")
             return RelAtom(rel, tuple(args))
         lhs = self.term(sig, env)
@@ -277,17 +241,11 @@ class _Parser:
             if name not in sig.functions:
                 hint = ("relation symbols cannot appear inside terms"
                         if name in sig.relations else "not declared")
-                raise ParseError(f"unknown function symbol '{name}' ({hint})",
-                                 self.filename, tok.line, tok.col)
+                self.fail(f"unknown function symbol '{name}' ({hint})", tok)
             self.next()
-            args = []
-            if not self.at("op", ")"):
-                args.append(self.term(sig, env))
-                while self.at("op", ","):
-                    self.next()
-                    args.append(self.term(sig, env))
+            args = () if self.at("op", ")") else tuple(self.items(",", self.term, sig, env))
             self.expect("op", ")")
-            return App(name, tuple(args))
+            return App(name, args)
         if name not in env and name in sig.functions and not sig.functions[name][0]:
             return App(name, ())
         return Var(name)
@@ -307,13 +265,17 @@ def parse_theory(text: str, filename: str = "<input>") -> Theory:
 
 
 def parse_sequents(text: str, signature: Signature, filename: str = "<input>") -> tuple:
-    """Parse a `;`-separated run of sequents against an existing signature."""
+    """Parse sequents against an existing signature, with `;` between each
+    two and optionally after the last."""
     parser = _Parser(tokenize(text, filename), filename)
     out = []
     while parser.at("op", "["):
         out.extend(parser.sequent(signature))
         if parser.at("op", ";"):
             parser.next()
+        elif not parser.at("eof"):
+            tok = parser.peek()
+            parser.fail(f"expected ';' between sequents, found '{tok.value}'")
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail(f"expected a sequent starting with '[', found '{tok.value or tok.kind}'")

@@ -83,6 +83,8 @@ def make_structure(theory: Theory, carriers: dict, functions=None, relations=Non
 def validate_structure(X: PartialStructure) -> None:
     labels = _label_sets(X.theory, X.carriers)
     for name, sorts, is_function in X.theory.signature.symbols():
+        if is_function and not all(isinstance(args, tuple) for args in X.table(name, True)):
+            raise ValidationError(f"a key of function '{name}' is not a tuple")
         _check_rows(name, sorts, X.rows(name, is_function), labels)
 
 

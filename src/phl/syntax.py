@@ -9,7 +9,7 @@ context of distinct sorted variables.  Equality is never a declared symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class PhlError(Exception):
@@ -154,43 +154,18 @@ class Theory:
 RESERVED = {"theory", "sorts", "functions", "relations", "axioms", "flags", "top", "def"}
 
 
-def subterms(term: Term) -> Iterator[Term]:
-    yield term
-    if isinstance(term, App):
-        for a in term.args:
-            yield from subterms(a)
-
-
-def formula_atoms(formula: Formula) -> Iterator[Formula]:
-    for part in and_parts(formula):
-        yield part
-
-
-def formula_terms(formula: Formula) -> Iterator[Term]:
-    for atom in formula_atoms(formula):
-        if isinstance(atom, RelAtom):
-            yield from atom.args
-        elif isinstance(atom, Eq):
-            yield atom.lhs
-            yield atom.rhs
-
-
-def formula_fn_symbols(formula: Formula) -> set:
+def formula_symbols(*formulas: Formula) -> set:
+    """Names of the function and relation symbols the formulas mention."""
     out = set()
-    for t in formula_terms(formula):
-        out |= {s.func for s in subterms(t) if isinstance(s, App)}
+    todo = list(formulas)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (And, Eq)):
+            todo += (node.lhs, node.rhs)
+        elif isinstance(node, (App, RelAtom)):
+            out.add(node.func if isinstance(node, App) else node.rel)
+            todo += node.args
     return out
-
-
-def formula_rel_symbols(formula: Formula) -> set:
-    return {a.rel for a in formula_atoms(formula) if isinstance(a, RelAtom)}
-
-
-def sequent_symbols(seq: Sequent) -> tuple:
-    """(function symbols, relation symbols) mentioned anywhere in the sequent."""
-    fns = formula_fn_symbols(seq.premise) | formula_fn_symbols(seq.conclusion)
-    rels = formula_rel_symbols(seq.premise) | formula_rel_symbols(seq.conclusion)
-    return fns, rels
 
 
 def term_sort(term: Term, signature: Signature, env: dict) -> str:
@@ -216,7 +191,7 @@ def term_sort(term: Term, signature: Signature, env: dict) -> str:
 
 
 def validate_formula(formula: Formula, signature: Signature, env: dict) -> None:
-    for atom in formula_atoms(formula):
+    for atom in and_parts(formula):
         if isinstance(atom, RelAtom):
             if atom.rel not in signature.relations:
                 raise ValidationError(f"unknown relation symbol '{atom.rel}'")
@@ -418,10 +393,10 @@ def extended_signature(rt: RelativeTheory) -> Signature:
 
 
 def is_base_formula(formula: Formula, base: Signature) -> bool:
-    """True when every symbol in the formula comes from the base signature."""
-    if not formula_rel_symbols(formula) <= set(base.relations):
-        return False
-    return formula_fn_symbols(formula) <= set(base.functions)
+    """True when every symbol in the formula comes from the base signature.
+    One set of names is enough: extended_signature refuses an operation
+    named like a base symbol, and validate_theory a name declared twice."""
+    return formula_symbols(formula) <= base.functions.keys() | base.relations.keys()
 
 
 def reconstruct_source_formula(m: TheoryMorphism, formula: Formula) -> Optional[Formula]:

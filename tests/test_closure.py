@@ -294,8 +294,8 @@ def _damage_and_reload(tmp_path, capsys, damage):
     with open(path) as fh:
         lines = fh.read().splitlines(keepends=True)
     assert len(lines) == 5  # the header and 4 members
-    with open(path, "w") as fh:
-        fh.write(damage(lines))
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.write(damage(lines))  # a lone surrogate "\udcXX" is written as the byte XX
     capsys.readouterr()
     assert load_universe(th, 2, str(tmp_path)) is None
     again = enumerate_models(th, 2, cache_dir=str(tmp_path))
@@ -317,6 +317,17 @@ def test_universe_cache_truncated_line_is_a_miss(tmp_path, capsys):
     err = _damage_and_reload(tmp_path, capsys,
                              lambda lines: "".join(lines[:-1]) + lines[-1][:20])
     assert "line 5 is not valid JSON" in err
+
+
+def test_universe_cache_that_is_not_utf8_is_a_miss(tmp_path, capsys):
+    sizes = []
+
+    def damage(lines):  # the file is ASCII, so a character is a byte
+        sizes.append(len("".join(lines)))
+        return "".join(lines) + "\udcff\udcfe"
+
+    err = _damage_and_reload(tmp_path, capsys, damage)
+    assert f"the file is not UTF-8 text (byte {sizes[0]})" in err
 
 
 def test_universe_cache_repeated_key_is_a_miss(tmp_path, capsys):

@@ -222,6 +222,25 @@ def test_cli_hom_refuses_a_malformed_document(tmp_path, capsys, doc, reason):
         assert err == reason + "\n"
 
 
+@pytest.mark.parametrize("verb", ["check", "models", "hom-theory", "hom-source", "hom-target"])
+def test_cli_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, verb):
+    good_theory, good_doc = tmp_path / "pos.phl", tmp_path / "one.json"
+    good_theory.write_text(print_theory(get_theory("pos")))
+    good_doc.write_text('{"signature": "pos", "carriers": {"el": ["0"]}, '
+                        '"relations": {"leq": [["0", "0"]]}}')
+    bad = tmp_path / ("bad.phl" if verb in ("check", "models", "hom-theory") else "bad.json")
+    good = good_theory if bad.suffix == ".phl" else good_doc
+    bad.write_bytes(good.read_bytes() + b"\xff\xfe")
+    argv = {"check": ["check", bad],
+            "models": ["models", bad, "--max-size", "1"],
+            "hom-theory": ["hom", good_doc, good_doc, "--theory", bad],
+            "hom-source": ["hom", bad, good_doc],
+            "hom-target": ["hom", good_doc, bad]}[verb]
+    code, out, err = run_cli(capsys, *map(str, argv))
+    assert code == 1 and out == ""
+    assert err == f"{bad}: not UTF-8 text (byte {len(good.read_bytes())})\n"
+
+
 def test_cli_cache_that_names_a_file_fails_cleanly(tmp_path, capsys):
     cache = tmp_path / "a.json"
     cache.write_text("{}")
@@ -266,6 +285,8 @@ def test_cli_closure_grows_the_missed_class(capsys):
     ("members:x", "bad member index in 'members:x' (use members:i,j)"),
     ("members:0,9", "member index 9 out of range"),
     ("some", "bad class spec: 'some' (use all, sat:<sequents>, or members:i,j)"),
+    ("sat:[x : el] top |- leq(x, x) [x : el] top |- top",
+     "<input>:1:27: expected ';' between sequents, found '['"),
 ])
 def test_cli_bad_class_spec_returns_1_in_process(capsys, spec, line):
     code, out, err = run_cli(capsys, "closure", "pos", "--max-size", "2", "--class", spec)

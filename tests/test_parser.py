@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+import phl.parser
 from phl.corpus import get_theory, theory_names
 from phl.parser import parse_sequents, parse_theory, tokenize
 from phl.syntax import (
@@ -131,6 +133,64 @@ def test_parse_sequents_standalone():
     seqs = parse_sequents("[x : el] top |- leq(x, x); [x : el, y : el] leq(x, y) |- top;", sig)
     assert len(seqs) == 2
     assert print_sequent(seqs[0]) == "[x : el] top |- leq(x, x)"
+
+
+def _theory_block(text):
+    """The lines of text from the first that opens a theory to the first
+    that is a lone closing brace."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.lstrip().startswith("theory "))
+    end = next(i for i in range(start, len(lines)) if lines[i].strip() == "}")
+    return "\n".join(lines[start:end + 1])
+
+
+def test_documented_examples_parse():
+    """The grammar example in the parser's docstring and the README's
+    theory file are parsed, so neither drifts from the grammar."""
+    example = parse_theory(_theory_block(phl.parser.__doc__))
+    assert example.signature.functions == {"f": (("s", "t"), "s"), "c": ((), "t")}
+    assert len(example.axioms) == 3 and example.flags == {"one", "two"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    pos = parse_theory(_theory_block(readme), "README.md")
+    assert print_theory(pos) == print_theory(get_theory("pos"))
+
+
+@pytest.mark.parametrize("text,line,col,message", [
+    ("[x : el y : el] top |- top", 1, 9, "expected ']', found 'y'"),
+    ("[x : el,] top |- top", 1, 9, "expected 'ident', found ']'"),
+    ("[x : el] top |- leq(x, x)\n[x : el] top |- top", 2, 1,
+     "expected ';' between sequents, found '['"),
+    ("[x : el] top |- top;;", 1, 21, "expected a sequent starting with '[', found ';'"),
+    ("[x : el] leq(x, x) & |- top", 1, 22, "expected 'ident', found '|-'"),
+    ("[x : el] leq(x,) |- top", 1, 16, "expected 'ident', found ')'"),
+])
+def test_separators_are_strict(text, line, col, message):
+    """A context entry needs a comma before the next one, no separator may
+    dangle, and sequents need `;` between them."""
+    with pytest.raises(ParseError) as e:
+        parse_sequents(text, get_theory("pos").signature, "sat")
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value) == f"sat:{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("sorts el;", "sorts el,;", "expected 'ident', found ';'"),
+    ("el * el;", "el * ;", "expected 'ident', found ';'"),
+    ("el * el;", "el * el,;", "expected 'ident', found ';'"),
+    ("[x : el, y : el]", "[x : el y : el]", "expected ']', found 'y'"),
+])
+def test_theory_lists_refuse_a_missing_or_dangling_separator(old, new, message):
+    with pytest.raises(ParseError) as e:
+        parse_theory(POS_SRC.replace(old, new, 1), "pos.phl")
+    assert str(e.value).endswith(message)
+    assert e.value.line > 1
+
+
+def test_a_trailing_semicolon_is_optional_between_sequents():
+    sig = get_theory("pos").signature
+    text = "[x : el] top |- leq(x, x); [] top |- top"
+    assert parse_sequents(text, sig) == parse_sequents(text + ";", sig)
+    assert parse_sequents("", sig) == ()
 
 
 def test_trailing_garbage_rejected():

@@ -336,6 +336,15 @@ def test_structure_from_json_refuses_a_malformed_document(name, doc, reason):
     assert str(exc.value) == reason
 
 
+@pytest.mark.parametrize("key", ["0", "10"])
+def test_make_structure_refuses_a_function_key_that_is_not_a_tuple(key):
+    """A string key would be read as its characters by the rows and the
+    canonical key, but looked up whole by the sequent checks."""
+    with pytest.raises(ValidationError) as exc:
+        make_structure(get_theory("end"), {"el": ["0", "1", "10"]}, {"f": {key: "1"}})
+    assert str(exc.value) == "a key of function 'f' is not a tuple"
+
+
 def _is_iso_by_inverse(h):
     """Bijective on every sort, and the inverse map is a homomorphism."""
     maps = {}

@@ -21,6 +21,7 @@ from phl.syntax import (
     conj,
     def_of,
     extended_signature,
+    formula_symbols,
     morphism_obligations,
     print_formula,
     print_sequent,
@@ -49,6 +50,19 @@ def test_conj_right_nested_and_parts_flatten():
     assert and_parts(TOP) == []
     assert conj() == TOP
     assert conj(a) == a
+
+
+def test_formula_symbols_walks_every_atom_and_term():
+    x, y = Var("x"), Var("y")
+    inner = RelAtom("r", (App("f", (App("g", (x,)),)), y))
+    eq = Eq(App("h", (App("c"),)), App("f", (App("k", (y,)),)))
+    assert formula_symbols(inner) == {"r", "f", "g"}
+    assert formula_symbols(eq) == {"h", "c", "f", "k"}
+    assert formula_symbols(conj(inner, def_of(App("d", (x,))))) == {"r", "f", "g", "d"}
+    assert formula_symbols(inner, eq) == {"r", "f", "g", "h", "c", "k"}
+    assert formula_symbols(TOP) == set()
+    assert formula_symbols(Eq(x, y), TOP) == set()
+    assert formula_symbols() == set()
 
 
 def test_bisequent_unfolds_to_two_sequents():
