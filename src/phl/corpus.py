@@ -10,15 +10,14 @@ enumerator: symbols whose axioms prune hardest come first.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 from .groups import FiniteGroup, cosets, cyclic_group, symmetric_3, trivial_group
 from .parser import parse_sequents, parse_theory
 from .structures import (
     ChainRecipe,
-    Homomorphism,
     PartialStructure,
     disjoint_union,
-    identity_hom,
     make_structure,
 )
 from .syntax import (
@@ -272,16 +271,22 @@ def gset_theory(G_or_name) -> Theory:
     return _GSET_THEORIES[G.name]
 
 
+def _suffix_number(name: str, prefix: str) -> Optional[int]:
+    """The number a parametric corpus name carries after `prefix`, or None
+    when the name has another prefix or its suffix is not all ASCII digits."""
+    suffix = name[len(prefix):] if name.startswith(prefix) else ""
+    return int(suffix) if suffix.isascii() and suffix.isdigit() else None
+
+
 @lru_cache(maxsize=None)
 def get_theory(name: str) -> Theory:
     if name in _SOURCES:
         return parse_theory(_SOURCES[name], f"<corpus {name}>")
-    if name.startswith("nset-"):
-        return parse_theory(_nset_source(int(name[5:])), f"<corpus {name}>")
-    if name.startswith("remark-locret-"):
-        return parse_theory(_remark_source(int(name[14:])), f"<corpus {name}>")
-    if name.startswith("chaincov-"):
-        return parse_theory(_chaincov_source(int(name[9:])), f"<corpus {name}>")
+    for prefix, source in (("nset-", _nset_source), ("remark-locret-", _remark_source),
+                           ("chaincov-", _chaincov_source)):
+        n = _suffix_number(name, prefix)
+        if n is not None:
+            return parse_theory(source(n), f"<corpus {name}>")
     if name.startswith("gset-"):
         return gset_theory(name[5:])
     raise KeyError(f"unknown theory '{name}'")
@@ -444,56 +449,31 @@ def gset_orbit_structure(G: FiniteGroup, H: frozenset, tag: int = 0) -> PartialS
 # chains
 
 
-def _inclusion(X: PartialStructure, Y: PartialStructure) -> Homomorphism:
-    """Label-preserving inclusion of X's carriers into Y's."""
-    maps = {s: {a: a for a in X.carrier(s)} for s in X.theory.signature.sorts}
-    return Homomorphism(X, Y, maps, "incl")
-
-
 def get_chain(name: str) -> ChainRecipe:
     if name == "constant-set":
-        X = set_of(2)
-        return ChainRecipe(name, get_theory("set"), lambda n: set_of(2),
-                           lambda n: identity_hom(X), stable_from=0,
+        return ChainRecipe(name, lambda n: set_of(2), stable_from=0,
                            description="the constant chain on a two-element set")
     if name == "growing-set":
-        return ChainRecipe(
-            name, get_theory("set"), lambda n: set_of(n + 1),
-            lambda n: _inclusion(set_of(n + 1), set_of(n + 2)),
-            description="strictly growing sets; no stage is a colimit")
+        return ChainRecipe(name, lambda n: set_of(n + 1),
+                           description="strictly growing sets; no stage is a colimit")
     if name == "lattice-chain":
-        return ChainRecipe(
-            name, get_theory("bounded-lattice"), lambda n: m_lattice(n + 2),
-            lambda n: _inclusion(m_lattice(n + 2), m_lattice(n + 3)),
-            description="bounded lattices with ever more atoms; no backward maps")
+        return ChainRecipe(name, lambda n: m_lattice(n + 2),
+                           description="bounded lattices with ever more atoms; no backward maps")
     if name == "endo-chain":
-        return ChainRecipe(
-            name, get_theory("end"), endo_primes,
-            lambda n: _inclusion(endo_primes(n), endo_primes(n + 1)),
-            description="sums of prime cycles; longer sums never map back")
+        return ChainRecipe(name, endo_primes,
+                           description="sums of prime cycles; longer sums never map back")
     if name == "presheaf-chain":
-        return ChainRecipe(
-            name, get_theory("chain5"), _presheaf_stage,
-            lambda n: _inclusion(presheaf_L(min(n, 5)), presheaf_L(min(n + 1, 5))),
-            description="growing restriction presheaves on the five-stage chain")
-    if name.startswith("ordinal-chain-"):
-        k = int(name.rsplit("-", 1)[1])
+        return ChainRecipe(name, _presheaf_stage,
+                           description="growing restriction presheaves on the five-stage chain")
+    k = _suffix_number(name, "ordinal-chain-")
+    if k is not None:
         b = k + 1
-        return ChainRecipe(
-            name, get_theory(f"chaincov-{b}"),
-            lambda n: ordinal_U(b, max(b - n, 0)),
-            lambda n: _inclusion(ordinal_U(b, max(b - n, 0)),
-                                 ordinal_U(b, max(b - n - 1, 0))),
-            stable_from=b,
-            description="filling in stages from the top; stabilizes once full")
-    if name.startswith("remark-chain-"):
-        k = int(name.rsplit("-", 1)[1])
-        return ChainRecipe(
-            name, get_theory(f"remark-locret-{k}"),
-            lambda n: remark_A(k, n),
-            lambda n: _inclusion(remark_A(k, n), remark_A(k, n + 1)),
-            stable_from=k,
-            description="unary stack gaining one defined entry per stage")
+        return ChainRecipe(name, lambda n: ordinal_U(b, max(b - n, 0)), stable_from=b,
+                           description="filling in stages from the top; stabilizes once full")
+    k = _suffix_number(name, "remark-chain-")
+    if k is not None:
+        return ChainRecipe(name, lambda n: remark_A(k, n), stable_from=k,
+                           description="unary stack gaining one defined entry per stage")
     raise KeyError(f"unknown chain '{name}'")
 
 

@@ -23,7 +23,7 @@ from .groups import (
     subgroup_label,
 )
 from .homsearch import HomPlan
-from .structures import ChainRecipe, make_structure
+from .structures import ChainRecipe, make_structure, stage_inclusion
 from .syntax import BudgetError, ValidationError
 
 
@@ -223,20 +223,22 @@ def acc_probe(chain: ChainRecipe, horizon: int) -> AccResult:
     [N, horizon] has homomorphisms both ways; N = horizon would be vacuous,
     so failing that the verdict is no-stabilization with the unconnected
     pair of the last two stages.  Hom existence is a preorder, so a tail is
-    mutually connected when each consecutive pair maps both ways: walking
-    down from the horizon takes at most 2 * horizon searches, over one plan
-    per stage.
+    mutually connected when each consecutive pair maps both ways.  The
+    forward map is the inclusion of stage n - 1 into stage n, checked by
+    `stage_inclusion`, so walking down from the horizon takes at most
+    horizon searches, each asking whether stage n maps back to stage n - 1,
+    over one plan per stage.
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
     upper = HomPlan(chain.structure_at(horizon))
     for n in range(horizon, 0, -1):
         lower = HomPlan(chain.structure_at(n - 1))
-        forward = lower.maps_to(upper)
-        if not (forward and upper.maps_to(lower)):
+        stage_inclusion(chain, n - 1, lower.structure, upper.structure)
+        if not upper.maps_to(lower):
             if n < horizon:
                 return AccResult(True, n, horizon, None)
-            return AccResult(False, None, horizon, (n, n - 1) if forward else (n - 1, n))
+            return AccResult(False, None, horizon, (n, n - 1))
         upper = lower
     return AccResult(True, 0, horizon, None)
 

@@ -73,7 +73,8 @@ def make_structure(theory: Theory, carriers: dict, functions=None, relations=Non
         theory,
         {s: tuple(carriers.get(s, ())) for s in sig.sorts},
         {f: dict((functions or {}).get(f, {})) for f in sig.functions},
-        {r: set(map(tuple, (relations or {}).get(r, ()))) for r in sig.relations},
+        {r: {tuple(row) if isinstance(row, list) else row
+             for row in (relations or {}).get(r, ())} for r in sig.relations},
         name,
     )
     validate_structure(X)
@@ -83,8 +84,9 @@ def make_structure(theory: Theory, carriers: dict, functions=None, relations=Non
 def validate_structure(X: PartialStructure) -> None:
     labels = _label_sets(X.theory, X.carriers)
     for name, sorts, is_function in X.theory.signature.symbols():
-        if is_function and not all(isinstance(args, tuple) for args in X.table(name, True)):
-            raise ValidationError(f"a key of function '{name}' is not a tuple")
+        if not all(isinstance(args, tuple) for args in X.table(name, is_function)):
+            raise ValidationError(f"a key of function '{name}' is not a tuple" if is_function
+                                  else f"a row of relation '{name}' is not a tuple or list")
         _check_rows(name, sorts, X.rows(name, is_function), labels)
 
 
@@ -352,11 +354,6 @@ class Homomorphism:
     target: PartialStructure
     maps: dict  # sort -> {label: label}
     name: str = ""
-
-
-def identity_hom(X: PartialStructure) -> Homomorphism:
-    return Homomorphism(X, X, {s: {a: a for a in X.carrier(s)}
-                               for s in X.theory.signature.sorts}, "id")
 
 
 def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
@@ -627,19 +624,33 @@ def disjoint_union(theory: Theory, parts: list, name: str = "") -> tuple:
 
 @dataclass
 class ChainRecipe:
-    """An omega-chain given by stage and connector builders.
+    """An omega-chain of substructures, given by its stages.
 
-    stable_from marks a stage from which the recipe guarantees all connectors
-    are identities up to isomorphism; the inspected window can then certify an
-    exact colimit instead of a bounded observation.
+    Stage n must be a substructure of stage n + 1, which keeps each of its
+    labels, defined entries and related tuples, so the connector between
+    them is the label-preserving inclusion (`stage_inclusion`).  stable_from
+    marks a stage from which the recipe guarantees all inclusions are
+    isomorphisms; the inspected window can then certify an exact colimit
+    instead of a bounded observation.
     """
 
     name: str
-    theory: Theory
     structure_at: Callable[[int], PartialStructure]
-    connector_at: Callable[[int], Homomorphism]  # stage n -> hom X_n -> X_{n+1}
     stable_from: Optional[int] = None
     description: str = ""
+
+
+def stage_inclusion(recipe: ChainRecipe, n: int, lower: PartialStructure,
+                    upper: PartialStructure) -> Homomorphism:
+    """The connector from stage n (`lower`) to stage n + 1 (`upper`) of the
+    recipe: the label-preserving inclusion, refused unless a homomorphism."""
+    h = Homomorphism(lower, upper, {s: {a: a for a in lower.carrier(s)}
+                                    for s in lower.theory.signature.sorts}, "incl")
+    bad = hom_violation(h)
+    if bad is not None:
+        raise ValidationError(
+            f"stage {n} of '{recipe.name}' is not a substructure of stage {n + 1}: {bad}")
+    return h
 
 
 @dataclass
@@ -653,20 +664,15 @@ class ColimitResult:
 def chain_colimit(recipe: ChainRecipe, horizon: int) -> ColimitResult:
     """Colimit of the chain as witnessed on stages 0..horizon.
 
-    Reports an exact colimit when the recipe declares stabilization and the
-    window confirms it, a bounded observation when connectors turn into
-    isomorphisms inside the window, and not-stable otherwise.
+    Builds each stage once and checks each inclusion between consecutive
+    stages.  Reports an exact colimit when the recipe declares stabilization
+    and the window confirms it, a bounded observation when the inclusions
+    turn into isomorphisms inside the window, and not-stable otherwise.
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
     stages = [recipe.structure_at(n) for n in range(horizon + 1)]
-    conns = []
-    for n in range(horizon):
-        h = recipe.connector_at(n)
-        bad = hom_violation(h)
-        if bad is not None:
-            raise ValidationError(f"connector {n} of '{recipe.name}' is not a homomorphism: {bad}")
-        conns.append(h)
+    conns = [stage_inclusion(recipe, n, stages[n], stages[n + 1]) for n in range(horizon)]
     iso_from = horizon
     for n in range(horizon - 1, -1, -1):
         if is_iso(conns[n]):

@@ -23,7 +23,7 @@ from phl.corpus import (
     theory_names,
 )
 from phl.report import RunContext, all_match, emit_report, run_targets
-from phl.structures import hom_violation, is_model, structure_to_json
+from phl.structures import is_model, structure_to_json
 from phl.syntax import print_theory, validate_morphism, validate_theory
 from phl.targets import all_tags, get_target, target_names, targets_with_tag
 
@@ -54,13 +54,19 @@ def test_every_corpus_morphism_validates():
         validate_morphism(get_morphism(name))
 
 
-def test_every_chain_connector_is_a_homomorphism():
+def test_every_chain_stage_is_a_substructure_of_the_next():
+    """Stages 0..3 nest: each keeps the labels, function entries and
+    relation tuples of the one before, so the inclusions are the connectors."""
     for name in chain_names():
         chain = get_chain(name)
-        for n in range(3):
-            h = chain.connector_at(n)
-            assert hom_violation(h) is None, (name, n)
-            assert h.source.theory.name == chain.theory.name
+        stages = [chain.structure_at(n) for n in range(4)]
+        for n, (X, Y) in enumerate(zip(stages, stages[1:])):
+            assert X.theory.name == Y.theory.name, (name, n)
+            sig = X.theory.signature
+            assert all(set(X.carrier(s)) <= set(Y.carrier(s)) for s in sig.sorts), (name, n)
+            assert all(X.functions[f].items() <= Y.functions[f].items()
+                       for f in sig.functions), (name, n)
+            assert all(X.relations[r] <= Y.relations[r] for r in sig.relations), (name, n)
 
 
 def test_inventory_covers_all_sections():
@@ -358,6 +364,12 @@ def test_cli_input_errors_end_in_one_stderr_line(argv, tmp_path):
 @pytest.mark.parametrize("argv,line", [
     (["repro", "--list", "nosuch"], "unknown reproduction target: nosuch"),
     (["models", "nosuch", "--max-size", "1"], "unknown theory 'nosuch'"),
+    (["models", "nset-x", "--max-size", "1"], "unknown theory 'nset-x'"),
+    (["models", "chaincov-", "--max-size", "1"], "unknown theory 'chaincov-'"),
+    (["models", "nset-\u00b2", "--max-size", "1"], "unknown theory 'nset-\u00b2'"),
+    (["models", "remark-locret-y", "--max-size", "1"], "unknown theory 'remark-locret-y'"),
+    (["acc", "ordinal-chain-x", "--horizon", "6"], "unknown chain 'ordinal-chain-x'"),
+    (["acc", "remark-chain-", "--horizon", "2"], "unknown chain 'remark-chain-'"),
 ])
 def test_cli_unknown_name_prints_the_sentence_once(capsys, argv, line):
     code, out, err = run_cli(capsys, *argv)

@@ -40,7 +40,7 @@ from phl.sigma import (
     subgroup_category,
     verify_fam_theorem,
 )
-from phl.structures import structure_size
+from phl.structures import chain_colimit, structure_size
 from phl.syntax import ValidationError
 from test_structures import urel_of
 
@@ -225,8 +225,8 @@ def test_acc_probe_matches_all_pairs_oracle(name, monkeypatch):
     """Consecutive stages decide the tail because hom existence is a
     preorder.  Each chain's hom matrix over stages 0..5, the last stage of
     the finite chains, is searched once, and acc_probe reads its entries,
-    at most 2 * horizon of them, at every horizon up to 5.  A horizon past
-    a finite chain's last stage is refused."""
+    at most horizon of them (the forward map is the inclusion), at every
+    horizon up to 5.  A horizon past a finite chain's last stage is refused."""
     chain = get_chain(name)
     stages = [chain.structure_at(n) for n in range(6)]
     try:
@@ -247,7 +247,63 @@ def test_acc_probe_matches_all_pairs_oracle(name, monkeypatch):
     for horizon in range(1, len(stages)):
         asked.clear()
         assert acc_probe(fixed, horizon) == acc_probe_all_pairs(conn, horizon), horizon
-        assert len(asked) <= 2 * horizon
+        assert len(asked) <= horizon
+
+
+@pytest.mark.parametrize("name,horizon,colimit,probe", [
+    ("constant-set", 1, ("exact", 0), (True, 0, None)),
+    ("constant-set", 2, ("exact", 0), (True, 0, None)),
+    ("constant-set", 3, ("exact", 0), (True, 0, None)),
+    ("constant-set", 4, ("exact", 0), (True, 0, None)),
+    ("constant-set", 5, ("exact", 0), (True, 0, None)),
+    ("growing-set", 1, ("not-stable", None), (True, 0, None)),
+    ("growing-set", 2, ("not-stable", None), (True, 0, None)),
+    ("growing-set", 3, ("not-stable", None), (True, 0, None)),
+    ("growing-set", 4, ("not-stable", None), (True, 0, None)),
+    ("growing-set", 5, ("not-stable", None), (True, 0, None)),
+    ("lattice-chain", 1, ("not-stable", None), (False, None, (1, 0))),
+    ("lattice-chain", 2, ("not-stable", None), (False, None, (2, 1))),
+    ("lattice-chain", 3, ("not-stable", None), (False, None, (3, 2))),
+    ("lattice-chain", 4, ("not-stable", None), (False, None, (4, 3))),
+    ("lattice-chain", 5, ("not-stable", None), (False, None, (5, 4))),
+    ("endo-chain", 1, ("not-stable", None), (False, None, (1, 0))),
+    ("endo-chain", 2, ("not-stable", None), (False, None, (2, 1))),
+    ("endo-chain", 3, ("not-stable", None), (False, None, (3, 2))),
+    ("endo-chain", 4, ("not-stable", None), (False, None, (4, 3))),
+    ("endo-chain", 5, ("not-stable", None), (False, None, (5, 4))),
+    ("presheaf-chain", 1, ("not-stable", None), (False, None, (1, 0))),
+    ("presheaf-chain", 2, ("not-stable", None), (False, None, (2, 1))),
+    ("presheaf-chain", 3, ("not-stable", None), (False, None, (3, 2))),
+    ("presheaf-chain", 4, ("not-stable", None), (False, None, (4, 3))),
+    ("presheaf-chain", 5, ("not-stable", None), (False, None, (5, 4))),
+    ("ordinal-chain-2", 1, ("not-stable", None), (False, None, (1, 0))),
+    ("ordinal-chain-2", 2, ("not-stable", None), (False, None, (2, 1))),
+    ("ordinal-chain-2", 3, ("not-stable", None), (False, None, (3, 2))),
+    ("ordinal-chain-2", 4, ("exact", 3), (True, 3, None)),
+    ("ordinal-chain-2", 5, ("exact", 3), (True, 3, None)),
+    ("ordinal-chain-3", 1, ("not-stable", None), (False, None, (1, 0))),
+    ("ordinal-chain-3", 2, ("not-stable", None), (False, None, (2, 1))),
+    ("ordinal-chain-3", 3, ("not-stable", None), (False, None, (3, 2))),
+    ("ordinal-chain-3", 4, ("not-stable", None), (False, None, (4, 3))),
+    ("ordinal-chain-3", 5, ("exact", 4), (True, 4, None)),
+    ("remark-chain-2", 1, ("not-stable", None), (True, 0, None)),
+    ("remark-chain-2", 2, ("not-stable", None), (True, 0, None)),
+    ("remark-chain-2", 3, ("exact", 2), (True, 0, None)),
+    ("remark-chain-2", 4, ("exact", 2), (True, 0, None)),
+    ("remark-chain-2", 5, ("exact", 2), (True, 0, None)),
+    ("remark-chain-3", 1, ("not-stable", None), (True, 0, None)),
+    ("remark-chain-3", 2, ("not-stable", None), (True, 0, None)),
+    ("remark-chain-3", 3, ("not-stable", None), (True, 0, None)),
+    ("remark-chain-3", 4, ("exact", 3), (True, 0, None)),
+    ("remark-chain-3", 5, ("exact", 3), (True, 0, None)),
+])
+def test_chain_verdicts_are_frozen(name, horizon, colimit, probe):
+    """(kind, stage) of chain_colimit and (stabilized, stage, witness) of
+    acc_probe for every corpus chain at horizons 1..5."""
+    res = chain_colimit(get_chain(name), horizon)
+    assert (res.kind, res.stage) == colimit
+    res = acc_probe(get_chain(name), horizon)
+    assert (res.stabilized, res.stage, res.witness) == probe
 
 
 def test_registry_quivers_match_enumeration(monkeypatch):

@@ -17,7 +17,9 @@ from phl.corpus import (
 )
 from phl.homsearch import enumerate_homs, hom_exists
 from phl.parser import parse_sequents
+from phl.sigma import acc_probe
 from phl.structures import (
+    ChainRecipe,
     Homomorphism,
     canonical_key,
     chain_colimit,
@@ -26,7 +28,6 @@ from phl.structures import (
     disjoint_union,
     eval_term,
     hom_violation,
-    identity_hom,
     is_closed_mono,
     is_iso,
     is_model,
@@ -82,7 +83,7 @@ def test_eval_formula_conjunction_is_intersection():
 
 def test_sequent_witness_reports_a_failing_environment():
     pos = get_theory("pos")
-    loopy = poset_structure("ab", ["ab"])  # a <= b only
+    loopy = poset_structure("ab", [("a", "b")])  # a <= b only
     asym = parse_sequents("[x : el, y : el] leq(x, y) |- leq(y, x);",
                           pos.signature)[0]
     w = sequent_witness(loopy, asym)
@@ -163,6 +164,11 @@ def test_product_universal_property_brute_force():
                          if compose(prs[0], h).maps == f.maps
                          and compose(prs[1], h).maps == g.maps]
             assert len(mediating) == 1
+
+
+def identity_hom(X):
+    return Homomorphism(X, X, {s: {a: a for a in X.carrier(s)}
+                               for s in X.theory.signature.sorts}, "id")
 
 
 def test_pullback_of_identities_is_diagonal():
@@ -345,6 +351,16 @@ def test_make_structure_refuses_a_function_key_that_is_not_a_tuple(key):
     assert str(exc.value) == "a key of function 'f' is not a tuple"
 
 
+@pytest.mark.parametrize("labels,rows", [
+    (["0", "1"], ["00", "11", "01"]),  # was read as the pairs of characters
+    (["10", "11"], ["1010"]),  # was refused as a row of the wrong length
+], ids=["characters", "length"])
+def test_make_structure_refuses_a_relation_row_that_is_not_a_tuple_or_list(labels, rows):
+    with pytest.raises(ValidationError) as exc:
+        make_structure(get_theory("pos"), {"el": labels}, relations={"leq": rows})
+    assert str(exc.value) == "a row of relation 'leq' is not a tuple or list"
+
+
 def _is_iso_by_inverse(h):
     """Bijective on every sort, and the inverse map is a homomorphism."""
     maps = {}
@@ -379,6 +395,21 @@ def test_chain_colimit_verdicts():
     res2 = chain_colimit(growing, 4)
     assert res2.kind == "not-stable"
     assert res2.structure is None
+
+
+@pytest.mark.parametrize("first,second,reason", [
+    (set_of(2), set_of(1), "image of '1' lies outside the target carrier of 'el'"),
+    (chain_poset(2), antichain_poset(2), "'leq' not preserved at ('0', '1')"),
+], ids=["element", "tuple"])
+def test_a_stage_that_drops_part_of_the_one_before_is_refused(first, second, reason):
+    """Stage 1 loses an element or a tuple of stage 0, so the inclusion is
+    no homomorphism; the colimit and the probe both refuse the chain."""
+    recipe = ChainRecipe("shrinking", lambda n: first if n == 0 else second)
+    message = f"stage 0 of 'shrinking' is not a substructure of stage 1: {reason}"
+    for run in (chain_colimit, acc_probe):
+        with pytest.raises(ValidationError) as exc:
+            run(recipe, 2)
+        assert str(exc.value) == message, run.__name__
 
 
 def test_canonical_key_refuses_over_budget_before_relabeling(monkeypatch):
