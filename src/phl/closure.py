@@ -631,6 +631,7 @@ class LawReport:
     universe: str
     k: int
     seed: int
+    classes: int  # classes sampled and checked, the empty class aside
     rows: list  # (law, instances checked, violations)
 
     @property
@@ -711,7 +712,7 @@ def operator_law_report(U: ModelUniverse, seed: int) -> LawReport:
     empty = ModelClass(U, frozenset())
     note("P(empty) = {terminal}",
          closure_P(empty).indices == frozenset([U.product_index(())]), "empty")
-    return LawReport(U.theory.name, U.k, seed,
+    return LawReport(U.theory.name, U.k, seed, len(classes),
                      [(law, c, v) for law, (c, v) in rows.items()])
 
 

@@ -1,10 +1,12 @@
 """Worked corpus: theories, structures, chains, groups and morphisms.
 
 Every theory is kept as source text and goes through the parser, so the
-corpus doubles as a parser exercise.  Parametric families (constant packs,
-truncated unary stacks, chain-shaped bases, action theories) are generated
-as source strings on demand.  Declaration order matters for the model
-enumerator: symbols whose axioms prune hardest come first.
+corpus doubles as a parser exercise.  Each theory, family, chain and
+morphism is declared once, in a table; every lookup, name list and note
+reads the tables.  Parametric families (constant packs, truncated unary
+stacks, chain-shaped bases, action theories) are generated as source
+strings on demand, each from its least N on.  Declaration order matters for
+the model enumerator: symbols whose axioms prune hardest come first.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ from .syntax import (
     extended_signature,
 )
 
-_SOURCES = {
-    "set": """
+# name -> (note, source)
+_THEORIES = {
+    "set": ("bare sets; local retractions are exactly the surjections", """
 theory set {
   sorts el;
   flags coproduct_by_disjoint_union, exact_locret_surjection;
 }
-""",
-    "pos": """
+"""),
+    "pos": ("partial orders", """
 theory pos {
   sorts el;
   relations leq : el * el;
@@ -50,8 +53,8 @@ theory pos {
     [x : el, y : el] leq(x, y) & leq(y, x) |- x = y;
   flags coproduct_by_disjoint_union;
 }
-""",
-    "preord": """
+"""),
+    "preord": ("preorders", """
 theory preord {
   sorts el;
   relations leq : el * el;
@@ -60,22 +63,22 @@ theory preord {
     [x : el, y : el, z : el] leq(x, y) & leq(y, z) |- leq(x, z);
   flags coproduct_by_disjoint_union;
 }
-""",
-    "urel": """
+"""),
+    "urel": ("one marked subset", """
 theory urel {
   sorts el;
   relations mark : el;
   flags coproduct_by_disjoint_union;
 }
-""",
-    "brel": """
+"""),
+    "brel": ("one binary relation, no axioms", """
 theory brel {
   sorts el;
   relations r : el * el;
   flags coproduct_by_disjoint_union;
 }
-""",
-    "per": """
+"""),
+    "per": ("partial equivalence relations", """
 # partial equivalence relations: symmetric and transitive, not reflexive
 theory per {
   sorts el;
@@ -85,8 +88,8 @@ theory per {
     [x : el, y : el, z : el] r(x, y) & r(y, z) |- r(x, z);
   flags coproduct_by_disjoint_union;
 }
-""",
-    "erel": """
+"""),
+    "erel": ("reflexive symmetric relations", """
 # reflexive symmetric relations
 theory erel {
   sorts el;
@@ -96,8 +99,8 @@ theory erel {
     [x : el, y : el] r(x, y) |- r(y, x);
   flags coproduct_by_disjoint_union;
 }
-""",
-    "idem": """
+"""),
+    "idem": ("one idempotent total endomap", """
 theory idem {
   sorts el;
   functions f : el -> el;
@@ -106,8 +109,8 @@ theory idem {
     [x : el] top |- f(f(x)) = f(x);
   flags coproduct_by_disjoint_union;
 }
-""",
-    "end": """
+"""),
+    "end": ("one total endomap", """
 theory end {
   sorts el;
   functions f : el -> el;
@@ -115,8 +118,8 @@ theory end {
     [x : el] top |- def(f(x));
   flags coproduct_by_disjoint_union;
 }
-""",
-    "arrow": """
+"""),
+    "arrow": ("a single total map between two sorts", """
 theory arrow {
   sorts a, b;
   functions f : a -> b;
@@ -124,8 +127,8 @@ theory arrow {
     [x : a] top |- def(f(x));
   flags coproduct_by_disjoint_union;
 }
-""",
-    "cospan": """
+"""),
+    "cospan": ("two total maps into a shared apex", """
 theory cospan {
   sorts lft, rgt, apex;
   functions lmap : lft -> apex, rmap : rgt -> apex;
@@ -134,8 +137,8 @@ theory cospan {
     [x : rgt] top |- def(rmap(x));
   flags coproduct_by_disjoint_union;
 }
-""",
-    "bowtie": """
+"""),
+    "bowtie": ("four total maps crossing two sources and two targets", """
 theory bowtie {
   sorts b1, b2, t1, t2;
   functions f11 : b1 -> t1, f12 : b1 -> t2, f21 : b2 -> t1, f22 : b2 -> t2;
@@ -146,8 +149,8 @@ theory bowtie {
     [x : b2] top |- def(f22(x));
   flags coproduct_by_disjoint_union;
 }
-""",
-    "chain5": """
+"""),
+    "chain5": ("base for five-stage restriction presheaves", """
 # base for presheaves over a five-stage chain of restrictions
 theory chain5 {
   sorts s0, s1, s2, s3, s4;
@@ -159,8 +162,8 @@ theory chain5 {
     [x : s4] top |- def(r3(x));
   flags coproduct_by_disjoint_union;
 }
-""",
-    "bounded-lattice": """
+"""),
+    "bounded-lattice": ("lattices with top and bottom", """
 theory bounded_lattice {
   sorts el;
   functions meet : el * el -> el, join : el * el -> el, zero : -> el, one : -> el;
@@ -178,16 +181,16 @@ theory bounded_lattice {
     [x : el] top |- join(zero(), x) = x;
     [x : el] top |- meet(one(), x) = x;
 }
-""",
-    "pointed": """
+"""),
+    "pointed": ("one total constant", """
 theory pointed {
   sorts el;
   functions pt : -> el;
   axioms
     [] top |- def(pt());
 }
-""",
-    "group": """
+"""),
+    "group": ("groups as one-sorted total algebras", """
 # mul comes first so associativity prunes the enumerator before e and inv
 theory group {
   sorts el;
@@ -202,7 +205,7 @@ theory group {
     [x : el] top |- mul(inv(x), x) = e();
     [x : el] top |- mul(x, inv(x)) = e();
 }
-""",
+"""),
 }
 
 
@@ -264,11 +267,35 @@ def get_group(name: str) -> FiniteGroup:
 _GSET_THEORIES = {}
 
 
-def gset_theory(G_or_name) -> Theory:
-    G = G_or_name if isinstance(G_or_name, FiniteGroup) else get_group(G_or_name)
+def gset_theory(G: FiniteGroup) -> Theory:
     if G.name not in _GSET_THEORIES:
         _GSET_THEORIES[G.name] = parse_theory(_gset_source(G), f"<gset {G.name}>")
     return _GSET_THEORIES[G.name]
+
+
+# prefix -> (N -> source of prefix + N, least N) of each numbered family;
+# gset-<group> names the actions of each group in _GROUPS
+_THEORY_FAMILIES = {
+    "nset-": (_nset_source, 1),
+    "remark-locret-": (_remark_source, 0),
+    "chaincov-": (_chaincov_source, 1),
+}
+
+# family members the inventory lists -> note
+_LISTED_THEORIES = {
+    "nset-1": "one constant",
+    "nset-2": "two constants",
+    "nset-3": "three constants; local retractions must not merge them",
+    "nset-4": "four constants",
+    "remark-locret-2": "truncated unary stack over a constant, two levels",
+    "remark-locret-3": "truncated unary stack over a constant, three levels",
+    "chaincov-3": "three-stage covariant chain base",
+    "chaincov-4": "four-stage covariant chain base",
+    "gset-trivial": "actions of the one-element group",
+    "gset-c2": "actions of the two-element group",
+    "gset-c4": "actions of the cyclic group of order four",
+    "gset-s3": "actions of the symmetric group on three points",
+}
 
 
 def _suffix_number(name: str, prefix: str) -> Optional[int]:
@@ -280,25 +307,24 @@ def _suffix_number(name: str, prefix: str) -> Optional[int]:
 
 @lru_cache(maxsize=None)
 def get_theory(name: str) -> Theory:
-    if name in _SOURCES:
-        return parse_theory(_SOURCES[name], f"<corpus {name}>")
-    for prefix, source in (("nset-", _nset_source), ("remark-locret-", _remark_source),
-                           ("chaincov-", _chaincov_source)):
+    if name in _THEORIES:
+        return parse_theory(_THEORIES[name][1], f"<corpus {name}>")
+    for prefix, (source, least) in _THEORY_FAMILIES.items():
         n = _suffix_number(name, prefix)
-        if n is not None:
+        if n is not None and n >= least:
             return parse_theory(source(n), f"<corpus {name}>")
-    if name.startswith("gset-"):
-        return gset_theory(name[5:])
+    if name.startswith("gset-") and name[5:] in _GROUPS:
+        return gset_theory(get_group(name[5:]))
     raise KeyError(f"unknown theory '{name}'")
 
 
+def _theory_notes() -> dict:
+    """Note of every theory the inventory lists, in listing order."""
+    return {**{name: _THEORIES[name][0] for name in sorted(_THEORIES)}, **_LISTED_THEORIES}
+
+
 def theory_names() -> list:
-    return sorted(_SOURCES) + [
-        "nset-1", "nset-2", "nset-3", "nset-4",
-        "remark-locret-2", "remark-locret-3",
-        "chaincov-3", "chaincov-4",
-        "gset-trivial", "gset-c2", "gset-c4", "gset-s3",
-    ]
+    return list(_theory_notes())
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +413,8 @@ def endo_primes(n: int) -> PartialStructure:
 def presheaf_L(i: int) -> PartialStructure:
     """Restriction presheaf on the five-stage chain: stages below i carry a
     point, the rest are empty."""
+    if i > 5:
+        raise ValidationError("the presheaf chain is truncated at stage 5")
     theory = get_theory("chain5")
     carriers = {f"s{j}": (["x"] if j < i else []) for j in range(5)}
     functions = {
@@ -449,73 +477,68 @@ def gset_orbit_structure(G: FiniteGroup, H: frozenset, tag: int = 0) -> PartialS
 # chains
 
 
+# name -> (n -> stage n, stable_from, description)
+_CHAINS = {
+    "constant-set": (lambda n: set_of(2), 0, "the constant chain on a two-element set"),
+    "growing-set": (lambda n: set_of(n + 1), None,
+                    "strictly growing sets; no stage is a colimit"),
+    "lattice-chain": (lambda n: m_lattice(n + 2), None,
+                      "bounded lattices with ever more atoms; no backward maps"),
+    "endo-chain": (endo_primes, None, "sums of prime cycles; longer sums never map back"),
+    "presheaf-chain": (presheaf_L, None,
+                       "growing restriction presheaves on the five-stage chain"),
+}
+
+# prefix -> ((k, n) -> stage n of prefix + k, k -> its stable_from, description)
+_CHAIN_FAMILIES = {
+    "ordinal-chain-": (lambda k, n: ordinal_U(k + 1, max(k + 1 - n, 0)), lambda k: k + 1,
+                       "filling in stages from the top; stabilizes once full"),
+    "remark-chain-": (remark_A, lambda k: k, "unary stack gaining one defined entry per stage"),
+}
+
+# family members the inventory lists
+_LISTED_CHAINS = ("ordinal-chain-2", "ordinal-chain-3", "remark-chain-2", "remark-chain-3")
+
+
 def get_chain(name: str) -> ChainRecipe:
-    if name == "constant-set":
-        return ChainRecipe(name, lambda n: set_of(2), stable_from=0,
-                           description="the constant chain on a two-element set")
-    if name == "growing-set":
-        return ChainRecipe(name, lambda n: set_of(n + 1),
-                           description="strictly growing sets; no stage is a colimit")
-    if name == "lattice-chain":
-        return ChainRecipe(name, lambda n: m_lattice(n + 2),
-                           description="bounded lattices with ever more atoms; no backward maps")
-    if name == "endo-chain":
-        return ChainRecipe(name, endo_primes,
-                           description="sums of prime cycles; longer sums never map back")
-    if name == "presheaf-chain":
-        return ChainRecipe(name, _presheaf_stage,
-                           description="growing restriction presheaves on the five-stage chain")
-    k = _suffix_number(name, "ordinal-chain-")
-    if k is not None:
-        b = k + 1
-        return ChainRecipe(name, lambda n: ordinal_U(b, max(b - n, 0)), stable_from=b,
-                           description="filling in stages from the top; stabilizes once full")
-    k = _suffix_number(name, "remark-chain-")
-    if k is not None:
-        return ChainRecipe(name, lambda n: remark_A(k, n), stable_from=k,
-                           description="unary stack gaining one defined entry per stage")
+    if name in _CHAINS:
+        return ChainRecipe(name, *_CHAINS[name])
+    for prefix, (stage, stable_from, description) in _CHAIN_FAMILIES.items():
+        k = _suffix_number(name, prefix)
+        if k is not None:
+            return ChainRecipe(name, lambda n: stage(k, n), stable_from(k), description)
     raise KeyError(f"unknown chain '{name}'")
 
 
-def _presheaf_stage(n: int) -> PartialStructure:
-    if n > 5:
-        raise ValidationError("the presheaf chain is truncated at stage 5")
-    return presheaf_L(n)
-
-
 def chain_names() -> list:
-    return ["constant-set", "growing-set", "lattice-chain", "endo-chain",
-            "presheaf-chain", "ordinal-chain-2", "ordinal-chain-3",
-            "remark-chain-2", "remark-chain-3"]
+    return list(_CHAINS) + list(_LISTED_CHAINS)
 
 
 # ---------------------------------------------------------------------------
 # morphisms
 
 
+# name -> (source, target, sort map, function map, relation map)
+_MORPHISMS = {
+    "pos-id": ("pos", "pos", {"el": "el"}, {}, {"leq": "leq"}),
+    "pos-to-brel": ("pos", "brel", {"el": "el"}, {}, {"leq": "r"}),
+    "pointed-to-group": ("pointed", "group", {"el": "el"}, {"pt": "e"}, {}),
+    "pos-underlying": ("set", "pos", {"el": "el"}, {}, {}),
+    "urel-underlying": ("set", "urel", {"el": "el"}, {}, {}),
+}
+
+
 @lru_cache(maxsize=None)
 def get_morphism(name: str) -> TheoryMorphism:
-    if name == "pos-id":
-        pos = get_theory("pos")
-        return TheoryMorphism(name, pos, pos, {"el": "el"}, {}, {"leq": "leq"})
-    if name == "pos-to-brel":
-        return TheoryMorphism(name, get_theory("pos"), get_theory("brel"),
-                              {"el": "el"}, {}, {"leq": "r"})
-    if name == "pointed-to-group":
-        return TheoryMorphism(name, get_theory("pointed"), get_theory("group"),
-                              {"el": "el"}, {"pt": "e"}, {})
-    if name == "pos-underlying":
-        return TheoryMorphism(name, get_theory("set"), get_theory("pos"),
-                              {"el": "el"}, {}, {})
-    if name == "urel-underlying":
-        return TheoryMorphism(name, get_theory("set"), get_theory("urel"),
-                              {"el": "el"}, {}, {})
-    raise KeyError(f"unknown morphism '{name}'")
+    if name not in _MORPHISMS:
+        raise KeyError(f"unknown morphism '{name}'")
+    source, target, sorts, functions, relations = _MORPHISMS[name]
+    return TheoryMorphism(name, get_theory(source), get_theory(target),
+                          sorts, functions, relations)
 
 
 def morphism_names() -> list:
-    return ["pos-id", "pos-to-brel", "pointed-to-group", "pos-underlying",
-            "urel-underlying"]
+    return list(_MORPHISMS)
 
 
 # ---------------------------------------------------------------------------
@@ -564,38 +587,7 @@ def compiled_osemiring() -> Theory:
 
 
 def list_corpus() -> dict:
-    theories = []
-    notes = {
-        "set": "bare sets; local retractions are exactly the surjections",
-        "pos": "partial orders",
-        "preord": "preorders",
-        "urel": "one marked subset",
-        "brel": "one binary relation, no axioms",
-        "per": "partial equivalence relations",
-        "erel": "reflexive symmetric relations",
-        "idem": "one idempotent total endomap",
-        "end": "one total endomap",
-        "arrow": "a single total map between two sorts",
-        "cospan": "two total maps into a shared apex",
-        "bowtie": "four total maps crossing two sources and two targets",
-        "chain5": "base for five-stage restriction presheaves",
-        "bounded-lattice": "lattices with top and bottom",
-        "pointed": "one total constant",
-        "group": "groups as one-sorted total algebras",
-        "nset-1": "one constant", "nset-2": "two constants",
-        "nset-3": "three constants; local retractions must not merge them",
-        "nset-4": "four constants",
-        "remark-locret-2": "truncated unary stack over a constant, two levels",
-        "remark-locret-3": "truncated unary stack over a constant, three levels",
-        "chaincov-3": "three-stage covariant chain base",
-        "chaincov-4": "four-stage covariant chain base",
-        "gset-trivial": "actions of the one-element group",
-        "gset-c2": "actions of the two-element group",
-        "gset-c4": "actions of the cyclic group of order four",
-        "gset-s3": "actions of the symmetric group on three points",
-    }
-    for name in theory_names():
-        theories.append({"name": name, "note": notes.get(name, "")})
+    theories = [{"name": n, "note": note} for n, note in _theory_notes().items()]
     chains = [{"name": n, "note": get_chain(n).description} for n in chain_names()]
     morphisms = [{"name": n} for n in morphism_names()]
     families = [

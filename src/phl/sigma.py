@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .corpus import get_theory
+from .corpus import get_theory, gset_orbit_structure, gset_theory
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -23,7 +23,7 @@ from .groups import (
     subgroup_label,
 )
 from .homsearch import HomPlan
-from .structures import ChainRecipe, make_structure, stage_inclusion
+from .structures import ChainRecipe, disjoint_union, is_model, make_structure, stage_inclusion
 from .syntax import BudgetError, ValidationError
 
 
@@ -326,9 +326,6 @@ def gset_sigma_check(G: FiniteGroup, k: int) -> GsetReport:
     class, since any bounded model is a sum of orbits and maps exactly onto
     the down-closure of its orbit types.
     """
-    from .corpus import gset_orbit_structure, gset_theory
-    from .structures import disjoint_union, is_model
-
     theory = gset_theory(G)
     quiver, subs = subgroup_category(G)
     class_poset = condense_sigma(quiver)

@@ -35,6 +35,7 @@ from .homsearch import (
 )
 from .parser import parse_sequents
 from .sigma import (
+    HomQuiver,
     build_hom_quiver,
     condense_sigma,
     lower_set_lattice,
@@ -239,7 +240,6 @@ def sigma_invariant_suite(seed: int = 20250814) -> SuiteReport:
         right = poset_product(condense_sigma(qa), condense_sigma(qb))
         rep.check("components respect binary products",
                   poset_iso(left, right), (qa.labels[:2], qb.labels[:2]))
-    from .sigma import HomQuiver
     for n in range(1, 5):
         anti = HomQuiver([f"a{i}" for i in range(n)],
                          [[i == j for j in range(n)] for i in range(n)])

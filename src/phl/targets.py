@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .closure import (
-    LAW_SAMPLES,
     ModelClass,
+    check_theory_morphism_bounded,
     class_of,
     closure_Hloc,
     closure_P,
@@ -36,6 +36,7 @@ from .closure import (
 )
 from .corpus import (
     chain_poset,
+    compiled_osemiring,
     endo_primes,
     get_chain,
     get_group,
@@ -137,7 +138,7 @@ def _law_report(theory_name, k):
     def run(ctx):
         U = enumerate_models(get_theory(theory_name), k, ctx.cache_dir)
         rep = operator_law_report(U, seed=ctx.seed)
-        return {"classes": len(U.members) + LAW_SAMPLES, "violations": rep.violations}
+        return {"classes": rep.classes, "violations": rep.violations}
     return run
 
 
@@ -271,7 +272,6 @@ def _run_subgroup_counts(ctx):
 
 def _morphism(morphism_name, k):
     def run(ctx):
-        from .closure import check_theory_morphism_bounded
         verdict = check_theory_morphism_bounded(get_morphism(morphism_name), k,
                                                 ctx.cache_dir)
         out = {"kind": verdict.kind}
@@ -284,7 +284,6 @@ def _morphism(morphism_name, k):
 def _run_semiring_judgments(ctx):
     rt = ordered_semiring()
     admissible = sum(1 for j in rt.judgments if check_relative_judgment(rt, j))
-    from .corpus import compiled_osemiring
     compiled = compiled_osemiring()
     validate_theory(compiled)
     return {"judgments": len(rt.judgments), "admissible": admissible,

@@ -30,6 +30,7 @@ from phl.closure import (
 from phl.corpus import get_morphism, get_theory, theory_names
 from phl.homsearch import enumerate_homs, iter_homs, passes_probes
 from phl.parser import parse_sequents, parse_theory
+from phl.report import RunContext, run_targets
 from phl.structures import (
     Homomorphism,
     PartialStructure,
@@ -726,6 +727,14 @@ def test_law_report_counts_the_stagewise_row():
     rep = operator_law_report(U, seed=20250814)
     rows = {law: (count, bad) for law, count, bad in rep.rows}
     assert rows["Sc.P <= joint Sc.P"] == (len(U.members) + 10, [])
+
+
+def test_law_report_target_reads_the_class_count_of_its_report(monkeypatch):
+    """The closure-laws rows count the classes the report checked: every
+    singleton plus LAW_SAMPLES seeded ones, read when the report runs."""
+    monkeypatch.setattr(closure, "LAW_SAMPLES", 3)
+    row = run_targets(["closure-laws-set"], RunContext())[0]
+    assert row["computed"]["classes"] == len(enumerate_models(get_theory("set"), 3).members) + 3
 
 
 # ---------------------------------------------------------------------------

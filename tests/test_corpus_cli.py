@@ -69,6 +69,25 @@ def test_every_chain_stage_is_a_substructure_of_the_next():
             assert all(X.relations[r] <= Y.relations[r] for r in sig.relations), (name, n)
 
 
+@pytest.mark.parametrize("name,functions", [
+    ("nset-1", 1), ("nset-5", 5), ("remark-locret-0", 1), ("remark-locret-4", 5),
+    ("chaincov-1", 0), ("chaincov-5", 4), ("gset-c3", 3),
+])
+def test_unlisted_family_members_resolve(name, functions):
+    """Every family member from the family's least N on is a theory, not
+    only the listed ones; gset-<group> takes any group the corpus has."""
+    theory = get_theory(name)
+    validate_theory(theory)
+    assert len(theory.signature.functions) == functions
+
+
+@pytest.mark.parametrize("name,stable_from", [("ordinal-chain-4", 5), ("remark-chain-4", 4)])
+def test_unlisted_chain_family_members_resolve(name, stable_from):
+    chain = get_chain(name)
+    assert (chain.name, chain.stable_from) == (name, stable_from)
+    assert is_model(chain.structure_at(stable_from))
+
+
 def test_inventory_covers_all_sections():
     inv = list_corpus()
     assert set(inv) >= {"theories", "chains", "morphisms", "families"}
@@ -370,6 +389,9 @@ def test_cli_input_errors_end_in_one_stderr_line(argv, tmp_path):
     (["models", "remark-locret-y", "--max-size", "1"], "unknown theory 'remark-locret-y'"),
     (["acc", "ordinal-chain-x", "--horizon", "6"], "unknown chain 'ordinal-chain-x'"),
     (["acc", "remark-chain-", "--horizon", "2"], "unknown chain 'remark-chain-'"),
+    (["models", "nset-0", "--max-size", "1"], "unknown theory 'nset-0'"),
+    (["models", "chaincov-0", "--max-size", "1"], "unknown theory 'chaincov-0'"),
+    (["models", "gset-zz", "--max-size", "1"], "unknown theory 'gset-zz'"),
 ])
 def test_cli_unknown_name_prints_the_sentence_once(capsys, argv, line):
     code, out, err = run_cli(capsys, *argv)
@@ -391,6 +413,24 @@ def test_cli_corpus_listing(capsys):
     assert code == 0
     assert "semigroup-chain" in out
     assert "documented but not computed" in out
+
+
+LISTINGS = os.path.join(os.path.dirname(__file__), "listings")
+
+
+@pytest.mark.parametrize("tag", [None] + all_tags())
+def test_cli_corpus_listing_is_pinned(capsys, tag):
+    """`phl corpus` and `phl corpus --tag T` print the frozen inventory."""
+    argv = ["corpus"] + (["--tag", tag] if tag else [])
+    code, out, err = run_cli(capsys, *argv)
+    name = f"corpus--tag-{tag}.txt" if tag else "corpus.txt"
+    with open(os.path.join(LISTINGS, name), encoding="utf-8") as fh:
+        assert (code, out, err) == (0, fh.read(), "")
+
+
+def test_every_pinned_listing_is_a_tag():
+    names = {"corpus.txt"} | {f"corpus--tag-{tag}.txt" for tag in all_tags()}
+    assert set(os.listdir(LISTINGS)) == names
 
 
 def test_cli_corpus_emit_round_trips(tmp_path, capsys):

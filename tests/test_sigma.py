@@ -436,7 +436,7 @@ def test_condense_sigma_matches_dfs_oracle(n):
 def test_gset_sigma_check_names_a_bad_orbit_set(monkeypatch):
     """An orbit sum that fails the action axioms is an explicit error, one
     that python -O cannot strip."""
-    import phl.structures
-    monkeypatch.setattr(phl.structures, "is_model", lambda X: False)
+    import phl.sigma
+    monkeypatch.setattr(phl.sigma, "is_model", lambda X: False)
     with pytest.raises(ValueError, match=r"orbit set \{\} of c2 violates"):
         gset_sigma_check(cyclic_group(2), 4)

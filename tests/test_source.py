@@ -62,6 +62,19 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert found == []
 
 
+def test_package_imports_only_at_module_level():
+    """An import inside a function body hides what a module depends on and
+    runs again on every call.  canonical.py's `if TYPE_CHECKING:` import is
+    at module level, so it is allowed."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 def test_every_module_begins_with_the_future_import():
     """An annotation evaluated at import can put phl's classes into a
     process-wide cache (typing caches what it builds), which keeps an old
