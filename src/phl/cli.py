@@ -236,8 +236,7 @@ def _cmd_corpus(args) -> int:
     for section in ("theories", "chains", "morphisms", "families"):
         print(f"{section}:")
         for entry in inventory[section]:
-            note = entry.get("note", "")
-            print(f"  {entry['name']:<24} {note}")
+            print(f"  {entry['name']:<24} {entry.get('note', '')}".rstrip())
     print("groups:", ", ".join(inventory["groups"]))
     print(f"targets: {len(TARGETS)} (phl repro --list)")
     return 0

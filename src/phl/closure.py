@@ -328,7 +328,7 @@ def enumerate_models(theory: Theory, k: int, cache_dir: Optional[str] = None) ->
 # The layout of a cache file and the labelled representatives it holds.  A
 # change to either (a new cell or value order in enumerate_models can keep
 # every key and still move the tables) must bump it, so old files are missed.
-UNIVERSE_CACHE_FORMAT = 1
+UNIVERSE_CACHE_FORMAT = 2
 
 
 def universe_cache_file(theory: Theory, k: int, cache_dir: str) -> tuple:
@@ -338,18 +338,19 @@ def universe_cache_file(theory: Theory, k: int, cache_dir: str) -> tuple:
 
 
 def save_universe(U: ModelUniverse, cache_dir: str) -> str:
-    """Write the cache file whole: readers see the old file or the new one."""
+    """Write the cache file whole: readers see the old file or the new one.
+    The header carries the sha256 of the rows that follow it."""
     os.makedirs(cache_dir, exist_ok=True)
     path, digest = universe_cache_file(U.theory, U.k, cache_dir)
+    rows = "".join(json.dumps({"key": key, "structure": structure_to_json(X)},
+                              sort_keys=True) + "\n" for key, X in zip(U.keys, U.members))
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps({"format": UNIVERSE_CACHE_FORMAT, "theory": U.theory.name,
-                                 "hash": digest, "k": U.k,
-                                 "members": len(U.members)}) + "\n")
-            for key, X in zip(U.keys, U.members):
-                fh.write(json.dumps({"key": key, "structure": structure_to_json(X)},
-                                    sort_keys=True) + "\n")
+                                 "hash": digest, "k": U.k, "members": len(U.members),
+                                 "sha256": _rows_digest(rows)}) + "\n")
+            fh.write(rows)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -364,13 +365,15 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
     another format (UNIVERSE_CACHE_FORMAT; files from before the field have
     none) and a damaged file (text that is not UTF-8, a line that is not
     JSON, a header that is not an object, fewer or more rows than its header
-    counts, a row without a string key and a valid structure, or two rows
-    with one key) are misses with a warning on stderr, so enumerate_models
-    rebuilds them."""
+    counts, a row without a string key and a valid structure, two rows with
+    one key, or rows whose sha256 is not the header's) are misses with a
+    warning on stderr, so enumerate_models rebuilds them.  The digest
+    catches damage that leaves valid rows, such as a dropped tuple; the
+    rows are not checked to be models with their keys."""
     path, digest = universe_cache_file(theory, k, cache_dir)
     if not os.path.exists(path):
         return None
-    lines = []
+    lines, texts = [], []
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -382,6 +385,7 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
                 lines.append(json.loads(line))
             except json.JSONDecodeError:
                 return _damaged_cache(path, f"line {number} is not valid JSON")
+            texts.append(line + "\n")
     if not lines:
         return _damaged_cache(path, "the file is empty")
     head = lines[0]
@@ -406,9 +410,16 @@ def load_universe(theory: Theory, k: int, cache_dir: str) -> Optional[ModelUnive
             return _damaged_cache(path, f"row {number} holds no valid structure ({exc})")
         keys.append(row["key"])
     try:
-        return ModelUniverse(theory, k, members, keys)
+        U = ModelUniverse(theory, k, members, keys)
     except ValueError:
         return _damaged_cache(path, "two rows share a key")
+    if head.get("sha256") != _rows_digest("".join(texts[1:])):
+        return _damaged_cache(path, "the rows do not match the sha256 in the header")
+    return U
+
+
+def _rows_digest(rows: str) -> str:
+    return hashlib.sha256(rows.encode()).hexdigest()
 
 
 def _damaged_cache(path: str, reason: str) -> None:

@@ -5,8 +5,13 @@ constraint satisfaction problem (Feder & Vardi 1998): one variable per
 source element, one constraint per function entry, read as the tuple
 (args..., value) of the function's graph, and per relation tuple.  Domains
 are int bitsets over the target carrier.  Every assignment forward-checks
-(Haralick & Elliott 1980) each constraint left with one free variable.  The
-tables live on a `HomPlan`, built once per structure.
+(Haralick & Elliott 1980) each constraint left with one free variable, in
+one of two ways.  A constraint over two distinct variables (a binary
+relation tuple, a unary function's entry, or a wider row whose repeats
+leave two, such as mul(x, x) = y) narrows the other variable's domain by
+one dict lookup keyed by the value just set and one AND; a constraint over
+three or more looks its set values up as a tuple.  The tables live on a
+`HomPlan`, built once per structure.
 
 `HomPlan._domains` builds every constraint of a search, and the search runs
 over them in one of two orders.  `restrict` narrows the initial domains
@@ -17,13 +22,17 @@ Enumeration (`HomPlan.homs`, and through it `iter_homs`, `find_hom` and
 `enumerate_homs`) takes the variables in source order (sorts as declared,
 carrier order within a sort) and the values in target carrier order, so
 homomorphisms come out in lexicographic order; that order is part of the
-contract.  Each sort's map lists the elements in carrier order; `phl hom`
+contract.  Once every variable but the last is set, forward checking and
+the injective rule have left the last one exactly the values that extend
+the assignment, so each of them is yielded without a further check.  Each sort's map lists the elements in carrier order; `phl hom`
 prints these maps as they are.
 
 Existence (`hom_exists`, `HomPlan.maps_to`) gives no witness.  The variable
 with the smallest domain goes next, so forced values go first, and since a
 homomorphism exists iff each connected component of the source maps, each
-component is searched on its own.
+component is searched on its own.  An injective query asks the plain
+components first, since every injective hom is a hom, and then searches
+the whole source once under the injective rule.
 
 The module functions build two plans per call.  A caller that searches many
 pairs keeps one plan per structure instead (a family, a chain, a universe).
@@ -112,10 +121,12 @@ class HomPlan:
         position by the first position of its variable among the distinct
         ones, or is None when the variables are all distinct.  A scope is the
         tuple of distinct variables of one row.
-        links[v] lists (scope, key number) for the scopes of two or more
-        variables that hold v.  Components of one variable are left out: the
-        initial domains settle them."""
-        number, scopes, links = {}, [], [[] for _ in self._elements]
+        links[v] is a pair of lists over the scopes that hold v: (other
+        variable, its position, key number) for each scope of two variables,
+        and (scope, key number) for each scope of three or more.  Components
+        of one variable are left out: the initial domains settle them."""
+        number, scopes = {}, []
+        links = [([], []) for _ in self._elements]
         for symbol in self.structure.theory.signature.symbols():
             for scope in self._encoded(symbol):
                 pattern = None
@@ -126,23 +137,27 @@ class HomPlan:
                 if n == len(scopes):
                     scopes.append([])
                 scopes[n].append(scope)
-                if len(scope) > 1:
+                if len(scope) == 2:
+                    a, b = scope
+                    links[a][0].append((b, 1, n))
+                    links[b][0].append((a, 0, n))
+                elif len(scope) > 2:
                     link = (scope, n)
                     for v in scope:
-                        links[v].append(link)
+                        links[v][1].append(link)
         comps, seen = [], set()
-        for v, held in enumerate(links):
-            if held and v not in seen:
+        for v, (near, far) in enumerate(links):
+            if (near or far) and v not in seen:
                 seen.add(v)
                 comp, todo = [], [v]
                 while todo:
                     u = todo.pop()
                     comp.append(u)
-                    for scope, _ in links[u]:
-                        for w in scope:
-                            if w not in seen:
-                                seen.add(w)
-                                todo.append(w)
+                    near, far = links[u]
+                    for w in [w for w, _, _ in near] + [w for scope, _ in far for w in scope]:
+                        if w not in seen:
+                            seen.add(w)
+                            todo.append(w)
                 comps.append(comp)
         sorts = [s for s, numbers in self._numbers.items() for _ in numbers]
         self._source = (sorts, list(number), scopes, links, comps)
@@ -152,7 +167,8 @@ class HomPlan:
         """(projections, supports, inhabited) of one symbol under one
         argument pattern: projections[k] is the bitset of values position k
         takes in the target tuples that fit the pattern; supports[k] maps
-        the values of the other positions to the bitset of values position k
+        the values of the other positions (the other value itself when the
+        tuples have two positions left) to the bitset of values position k
         may take; inhabited says whether any tuple fits."""
         symbol, pattern = key
         rows = self._encoded(symbol)
@@ -161,10 +177,11 @@ class HomPlan:
             rows = [tuple(map(t.__getitem__, first)) for t in rows
                     if all(t[i] == t[first[k]] for i, k in enumerate(pattern))]
         projections, supports = [], []
-        for k in range(len(rows[0]) if rows else 0):
+        width = len(rows[0]) if rows else 0
+        for k in range(width):
             proj, sup = 0, {}
             for row in rows:
-                rest = row[:k] + row[k + 1:]
+                rest = row[1 - k] if width == 2 else row[:k] + row[k + 1:]
                 bit = 1 << row[k]
                 sup[rest] = sup.get(rest, 0) | bit
                 proj |= bit
@@ -215,12 +232,16 @@ class HomPlan:
         if got is None:
             return False
         dom, supports, links = got
+        # every injective hom is a hom, so the plain components go first, on
+        # a copy: a search that succeeds leaves its values and narrowings
+        plain = dom[:] if injective else dom
         value = [None] * len(dom)
-        # the injective rule couples the components, so it searches one
-        for comp in [range(len(dom))] if injective else self._source[4]:
-            if next(_search(comp, False, dom, value, links, supports, injective), None) is None:
+        for comp in self._source[4]:
+            if next(_search(comp, False, plain, value, links, supports, False), None) is None:
                 return False
-        return True
+        # the injective rule couples the components, so it searches them as one
+        return not injective or next(_search(range(len(dom)), False, dom, [None] * len(dom),
+                                             links, supports, True), None) is not None
 
     def homs(self, other: "HomPlan", injective: bool = False,
              restrict: Optional[dict] = None) -> Iterator[Homomorphism]:
@@ -245,10 +266,11 @@ def _search(todo, ordered: bool, dom: list, value: list, links: list,
     yielding `value` at each full assignment.  Ordered, the variables go in
     the order of `todo` and every full assignment is yielded; otherwise the
     smallest domain goes next and the search stops at the first.  Values go
-    in ascending position.  If `injective`, a value taken leaves every free
-    domain in `todo` and is refused when that empties one; each sort's
-    values have bits of their own, so each sort maps one-to-one.  Narrows
-    `dom` in place and restores it on every retreat."""
+    in ascending position; ordered, the last variable's domain is exact and
+    is yielded value by value unchecked.  If `injective`, a value taken
+    leaves every free domain in `todo` and is refused when that empties one;
+    each sort's values have bits of their own, so each sort maps
+    one-to-one.  Narrows `dom` in place and restores it on every retreat."""
     free = None if ordered else set(todo)
     trail = []  # (variable, domain before a narrowing)
     stack = []  # per variable chosen: [variable, values left, trail mark]
@@ -259,6 +281,17 @@ def _search(todo, ordered: bool, dom: list, value: list, links: list,
             yield value
             if not ordered:
                 return
+        elif ordered and depth == last - 1:
+            # every other variable is set, so forward checking and the
+            # injective rule have left exactly the values that extend
+            v = todo[depth]
+            left = dom[v]
+            while left:
+                bit = left & -left
+                left ^= bit
+                value[v] = bit.bit_length() - 1
+                yield value
+            value[v] = None
         else:
             if ordered:
                 v = todo[depth]
@@ -281,7 +314,7 @@ def _search(todo, ordered: bool, dom: list, value: list, links: list,
                     dom[u] = old
                 bit = left & -left
                 left ^= bit
-                value[v] = bit.bit_length() - 1
+                x = value[v] = bit.bit_length() - 1
                 if injective:
                     hit = [u for u in todo if dom[u] & bit and value[u] is None]
                     if bit in map(dom.__getitem__, hit):
@@ -289,29 +322,39 @@ def _search(todo, ordered: bool, dom: list, value: list, links: list,
                     for u in hit:
                         trail.append((u, dom[u]))
                         dom[u] ^= bit
-                for scope, n in links[v]:  # forward checking
-                    rest, at = [], -1
-                    for k, u in enumerate(scope):
-                        x = value[u]
-                        if x is not None:
-                            rest.append(x)
-                        elif at < 0:
-                            at = k
-                        else:
-                            break  # two variables still free
-                    else:
-                        if at < 0:
-                            continue  # the last value came from a checked domain
-                        u = scope[at]
-                        narrowed = dom[u] & supports[n][at].get(tuple(rest), 0)
+                near, far = links[v]
+                for u, at, n in near:  # forward checking, two variables
+                    if value[u] is None:  # else x came from a checked domain
+                        narrowed = dom[u] & supports[n][at].get(x, 0)
                         if not narrowed:
                             break
                         if narrowed != dom[u]:
                             trail.append((u, dom[u]))
                             dom[u] = narrowed
                 else:
-                    top[1] = left
-                    break
+                    for scope, n in far:  # three or more
+                        rest, at = [], -1
+                        for k, u in enumerate(scope):
+                            y = value[u]
+                            if y is not None:
+                                rest.append(y)
+                            elif at < 0:
+                                at = k
+                            else:
+                                break  # two variables still free
+                        else:
+                            if at < 0:
+                                continue  # the last value came from a checked domain
+                            u = scope[at]
+                            narrowed = dom[u] & supports[n][at].get(tuple(rest), 0)
+                            if not narrowed:
+                                break
+                            if narrowed != dom[u]:
+                                trail.append((u, dom[u]))
+                                dom[u] = narrowed
+                    else:
+                        top[1] = left
+                        break
             else:
                 while len(trail) > mark:
                     u, old = trail.pop()

@@ -347,6 +347,17 @@ def test_universe_cache_without_a_format_is_a_miss(tmp_path, capsys):
     assert f"cache format absent, expected {closure.UNIVERSE_CACHE_FORMAT}" in err
 
 
+def test_universe_cache_row_that_is_no_longer_a_model_is_a_miss(tmp_path, capsys):
+    """Dropping ("1", "1") from the antichain's leq leaves a valid structure
+    that is not a poset, with the antichain's key; the digest of the rows
+    in the header catches it."""
+    def drop_a_loop(lines):
+        assert lines[4].count('"leq": [["0", "0"], ["1", "1"]]') == 1
+        return "".join(lines[:4] + [lines[4].replace(', ["1", "1"]', "")])
+    err = _damage_and_reload(tmp_path, capsys, drop_a_loop)
+    assert "the rows do not match the sha256 in the header" in err
+
+
 def test_universe_with_a_repeated_key_raises():
     U = enumerate_models(get_theory("set"), 2)
     with pytest.raises(ValueError, match="universe of 'set' at k=2 share a canonical key"):

@@ -14,7 +14,9 @@ from phl.corpus import (
     presheaf_L,
     set_of,
 )
+from phl import homsearch
 from phl.homsearch import (
+    HomPlan,
     enumerate_homs,
     exact_local_retraction,
     fibers,
@@ -207,11 +209,14 @@ def random_restrict(rng, X, Y):
 
 def test_existence_and_enumeration_answer_alike_under_every_constraint():
     """maps_to and the full ordered enumeration against the brute force on
-    every ordered member pair of four universes: plain, injective,
+    every ordered member pair of six universes: plain, injective,
     restricted to the fibers of a hom back, and under a seeded random
-    restrict, plain and injective."""
+    restrict, plain and injective.  group and bounded-lattice bring binary
+    operations: rows of three variables, and rows such as mul(x, x) = y or
+    meet(x, y) = x whose repeats leave two."""
     rng, injective_rng = random.Random(20261019), random.Random(20261020)
-    for name, k in (("urel", 2), ("pos", 3), ("nset-3", 3), ("cospan", 2)):
+    for name, k in (("urel", 2), ("pos", 3), ("nset-3", 3), ("cospan", 2), ("group", 3),
+                    ("bounded-lattice", 4)):
         U = enumerate_models(get_theory(name), k)
         for i, j in itertools.product(range(len(U)), repeat=2):
             X, Y = U.members[i], U.members[j]
@@ -229,6 +234,57 @@ def test_existence_and_enumeration_answer_alike_under_every_constraint():
                 assert in_carrier_order(found) == in_carrier_order(brute), \
                     (X.name, Y.name, injective, restrict)
                 assert exists == bool(brute), (X.name, Y.name, injective, restrict)
+
+
+def test_sources_of_one_element_and_of_none():
+    """With one variable the first choice is the last, whose domain is
+    yielded whole; with none the empty map is the one homomorphism."""
+    brel = get_theory("brel")
+    target = make_structure(brel, {"el": ["0", "1", "2"]},
+                            relations={"r": [("0", "0"), ("1", "2"), ("2", "2")]})
+    loop = make_structure(brel, {"el": ["a"]}, relations={"r": [("a", "a")]})
+    point = make_structure(brel, {"el": ["a"]})
+    empty = make_structure(brel, {"el": []})
+    pointed = get_theory("pointed")
+    one = make_structure(pointed, {"el": ["a"]}, {"pt": {(): "a"}})
+    two = make_structure(pointed, {"el": ["0", "1"]}, {"pt": {(): "1"}})
+    cases = [(loop, target), (point, target), (empty, target), (empty, empty),
+             (point, empty), (one, two), (set_of(1), set_of(3)), (set_of(0), set_of(0)),
+             (chain_poset(1), chain_poset(3))]
+    for X, Y in cases:
+        for injective in (False, True):
+            brute = [h for h in brute_force_homs(X, Y) if not injective or is_injective(h)]
+            assert in_carrier_order(enumerate_homs(X, Y, injective=injective)) == \
+                in_carrier_order(brute), (X.name, Y.name, injective)
+            assert HomPlan(X).maps_to(HomPlan(Y), injective) == bool(brute)
+    assert [h.maps["el"]["a"] for h in enumerate_homs(loop, target)] == ["0", "2"]
+    assert [h.maps["el"]["a"] for h in enumerate_homs(point, target,
+                                                      restrict={("el", "a"): ("2", "0")})] \
+        == ["0", "2"]
+    assert [h.maps for h in enumerate_homs(empty, target)] == [{"el": {}}]
+    assert [h.maps["el"]["a"] for h in enumerate_homs(one, two)] == ["1"]
+
+
+def test_injective_existence_asks_the_plain_components_first(monkeypatch):
+    """No homomorphism at all runs from endo_primes(5) to endo_primes(4), so
+    the plain search refutes the injective query and no injective search
+    runs; where the plain components map, the injective search decides."""
+    searches = []
+    search = homsearch._search
+
+    def recorded(todo, ordered, dom, value, links, supports, injective):
+        searches.append(injective)
+        return search(todo, ordered, dom, value, links, supports, injective)
+
+    monkeypatch.setattr(homsearch, "_search", recorded)
+    assert not HomPlan(endo_primes(5)).maps_to(HomPlan(endo_primes(4)), injective=True)
+    assert searches and not any(searches)
+    searches.clear()
+    assert HomPlan(endo_primes(4)).maps_to(HomPlan(endo_primes(5)), injective=True)
+    assert searches[-1] and not any(searches[:-1])
+    searches.clear()
+    assert not HomPlan(set_of(3)).maps_to(HomPlan(set_of(2)), injective=True)
+    assert searches == [True]
 
 
 def test_find_section_of_a_collapse():
