@@ -227,6 +227,12 @@ def _cmd_corpus(args) -> int:
     if args.tag:
         fam = [f for f in inventory["families"] if args.tag in f["tags"]]
         tgt = targets_with_tag(args.tag)
+        if not fam and not tgt:
+            tags = list(dict.fromkeys(
+                all_tags() + [tag for f in inventory["families"] for tag in f["tags"]]))
+            print(f"no families or targets tagged {args.tag!r}; tags: {tags}",
+                  file=sys.stderr)
+            return 2
         for f in fam:
             status = "" if f["computed"] else "  (documented, not computed)"
             print(f"family   {f['name']:<24} {f['note']}{status}")

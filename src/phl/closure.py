@@ -54,9 +54,12 @@ from .syntax import (
 @dataclass
 class ModelUniverse:
     """The members with their canonical keys, and one memo for every relation
-    between members that the closure operators ask about.  Members are
-    named after their position on construction; a repeated key raises
-    ValueError."""
+    between members that the closure operators ask about and for each
+    operator's result per class.  A result is kept as the class's index
+    set, never as a ModelClass, which holds its universe: the universe would
+    reach itself through its memo and wait for the cycle collector to be
+    freed.  Members are named after their position on construction; a
+    repeated key raises ValueError."""
     theory: Theory
     k: int
     members: list
@@ -488,7 +491,12 @@ def closure_P(mc: ModelClass) -> ModelClass:
     steps repeat until neither adds a member.
     """
     U = mc.universe
-    S = set(mc.indices)
+    return mc.with_indices(U._remember(("closure_P", mc.indices),
+                                       lambda: _products(U, mc.indices)))
+
+
+def _products(U: ModelUniverse, indices: frozenset) -> frozenset:
+    S = set(indices)
     S.add(U.product_index(()))
     todo = sorted(S)
     while todo:
@@ -501,7 +509,7 @@ def closure_P(mc: ModelClass) -> ModelClass:
                     todo.append(idx)
         todo = sorted(set(_wide_products(U, S)) - S)
         S.update(todo)
-    return mc.with_indices(S)
+    return frozenset(S)
 
 
 def _wide_products(U: ModelUniverse, S: set):
@@ -515,7 +523,12 @@ def _wide_products(U: ModelUniverse, S: set):
     stays over the bound until a vector with an empty carrier there joins,
     so a combination with no such candidate left is dropped.  Members are
     enumerated only under the bounded vector combinations, which one-sorted
-    universes never have."""
+    universes never have.
+
+    The combinations are grown depth first, lowest candidate first, on an
+    explicit stack: a recursive nested generator would reach itself through
+    its closure cell and keep the universe alive until the cycle collector
+    runs."""
     sizes = U.sizes()
     by_vector = {}
     for i in sorted(S):
@@ -526,28 +539,27 @@ def _wide_products(U: ModelUniverse, S: set):
     over = [sum(1 << m for m in range(n, len(vectors)) if not U.bounded((v, vectors[m])))
             for n, v in enumerate(vectors)]
     empty = [sum(1 << n for n, v in enumerate(vectors) if not v[s]) for s in sorts]
-
-    def grow(combo, candidates):
+    stack = [((), (1 << len(vectors)) - 1)]
+    while stack:
+        combo, candidates = stack.pop()
         overflow = [s for s in sorts if math.prod(v[s] for v in combo) > U.k]
         if len(combo) >= 3 and not overflow:
-            yield combo
+            runs = [itertools.combinations_with_replacement(by_vector[v], combo.count(v))
+                    for v in sorted(set(combo))]
+            for parts in itertools.product(*runs):
+                yield U.product_index(tuple(sorted(itertools.chain(*parts))))
         if len(combo) == PRODUCT_ARITY_CAP or any(not candidates & empty[s] for s in overflow):
-            return
+            continue
         rest = candidates
-        while rest:
-            n = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            yield from grow(combo + (vectors[n],), candidates & over[n])
-
-    for combo in grow((), (1 << len(vectors)) - 1):
-        runs = [itertools.combinations_with_replacement(by_vector[v], combo.count(v))
-                for v in sorted(set(combo))]
-        for parts in itertools.product(*runs):
-            yield U.product_index(tuple(sorted(itertools.chain(*parts))))
+        while rest:  # pushed highest first, so the lowest is popped first
+            n = rest.bit_length() - 1
+            rest ^= 1 << n
+            stack.append((combo + (vectors[n],), candidates & over[n]))
 
 
-def _grow(mc: ModelClass, edge) -> ModelClass:
-    """Add each non-member c with edge(c, m) for some member m, in one pass.
+def _grow(mc: ModelClass, op: tuple, edge) -> ModelClass:
+    """Add each non-member c with edge(c, m) for some member m, in one pass,
+    remembered in the universe's memo under op and the class.
 
     Every edge passed here is a preorder on the members: closed embeddings,
     retractions (also of reducts along a theory morphism) and surjections
@@ -555,14 +567,14 @@ def _grow(mc: ModelClass, edge) -> ModelClass:
     member added by the pass has one to the original member that member came
     from, and nothing the pass adds lets another candidate in.  Members are
     tried in sorted order, so the edges asked for are deterministic."""
-    S = mc.indices
+    U, S = mc.universe, mc.indices
     members = sorted(S)
-    return mc.with_indices(S.union(c for c in range(len(mc.universe)) if c not in S
-                                   and any(edge(c, m) for m in members)))
+    return mc.with_indices(U._remember(op + (S,), lambda: S.union(
+        c for c in range(len(U)) if c not in S and any(edge(c, m) for m in members))))
 
 
 def closure_Sc(mc: ModelClass) -> ModelClass:
-    return _grow(mc, mc.universe.closed_sub)
+    return _grow(mc, ("closure_Sc",), mc.universe.closed_sub)
 
 
 def closure_Hloc(mc: ModelClass, rho: Optional[TheoryMorphism] = None) -> ModelClass:
@@ -570,7 +582,8 @@ def closure_Hloc(mc: ModelClass, rho: Optional[TheoryMorphism] = None) -> ModelC
     if rho is not None and rho.target.name != U.theory.name:
         raise ValidationError(f"theory morphism '{rho.name}' has target '{rho.target.name}', "
                               f"not the universe's theory '{U.theory.name}'")
-    return _grow(mc, lambda c, m: U.locret(m, c, rho))
+    return _grow(mc, ("closure_Hloc", None if rho is None else rho.name),
+                 lambda c, m: U.locret(m, c, rho))
 
 
 def embeds_in_product(U: ModelUniverse, i: int, targets) -> bool:
@@ -595,14 +608,15 @@ def product_embedding_closure(mc: ModelClass) -> ModelClass:
     criterion of embeds_in_product.
     """
     U, S = mc.universe, mc.indices
-    return mc.with_indices(S.union(i for i in range(len(U)) if i not in S
-                                   and embeds_in_product(U, i, S)))
+    return mc.with_indices(U._remember(("product_embedding_closure", S), lambda: S.union(
+        i for i in range(len(U)) if i not in S and embeds_in_product(U, i, S))))
 
 
 def surjective_image_closure(mc: ModelClass) -> ModelClass:
     """Plain surjective images, for contrast with local retractions."""
     U = mc.universe
-    return _grow(mc, lambda c, m: any(map(is_surjective, U.plan(m).homs(U.plan(c)))))
+    return _grow(mc, ("surjective_image_closure",),
+                 lambda c, m: any(map(is_surjective, U.plan(m).homs(U.plan(c)))))
 
 
 @dataclass
@@ -626,6 +640,9 @@ def hsp_closure(mc: ModelClass, rho: Optional[TheoryMorphism] = None) -> HspResu
     whose tupling embeds_in_product tests, and the terminal model passes
     jointly_closed_mono with none.  All are extensive, so P and Sc cannot
     grow where it does not.  Hloc is one _grow pass over a preorder: idempotent.
+    Every operator keeps its result per class in the universe's memo, so
+    the fixpoint check, the joint operator on the result, is answered there
+    when hsp_closure is asked again about that result.
     """
     out = closure_Hloc(product_embedding_closure(mc), rho)
     added = product_embedding_closure(out).indices - out.indices

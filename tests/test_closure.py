@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
 import os
 import random
+import weakref
 
 import pytest
 
@@ -565,6 +567,50 @@ def test_shared_universe_memo_keeps_rho_apart():
             ModelClass(enumerate_models(theory, 2), idx), rho).indices
         differ += plain.indices != along.indices
     assert differ == 4
+
+
+def _answers(universe, idx, rho):
+    """What each operator, closure_Hloc along rho and hsp_closure answer on
+    the class idx, each asked on the universe that universe() returns."""
+    questions = {op.__name__: op for op in _OPERATORS}
+    questions["closure_Hloc along rho"] = lambda mc: closure_Hloc(mc, rho)
+    out = {label: op(ModelClass(universe(), idx)).indices for label, op in questions.items()}
+    hsp = hsp_closure(ModelClass(universe(), idx))
+    out["hsp_closure"] = (hsp.model_class.indices, hsp.fixpoint, hsp.growth)
+    return out
+
+
+@pytest.mark.parametrize("name,rho", [("urel", "urel-underlying"), ("pos", "pos-underlying")])
+def test_shared_universe_memo_answers_repeated_questions_alike(name, rho):
+    """Every question asked twice of one shared universe, the second round in
+    reverse class order, so the second answers come from the memo, gets the
+    answer a freshly enumerated universe gives it alone, on every class of
+    urel k=2 and pos k=2."""
+    theory, rho = get_theory(name), get_morphism(rho)
+    shared = enumerate_models(theory, 2)
+    classes = list(_every_class(shared))
+    fresh = {idx: _answers(lambda: enumerate_models(theory, 2), idx, rho) for idx in classes}
+    for order in (classes, classes[::-1]):
+        for idx in order:
+            assert _answers(lambda: shared, idx, rho) == fresh[idx], sorted(idx)
+
+
+def test_a_dropped_universe_is_freed_without_the_cycle_collector():
+    """The memo holds index sets, never a ModelClass (which holds its
+    universe), and no closure operator leaves a reference cycle through the
+    universe, so dropping the last reference frees it at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        U = enumerate_models(get_theory("pos"), 3)
+        hsp_closure(ModelClass(U, frozenset([1])))
+        operator_law_report(U, 3)
+        ref = weakref.ref(U)
+        del U
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_closure_sc_adds_only_induced_substructures():

@@ -1,3 +1,4 @@
+import ast
 import errno
 import json
 import os
@@ -426,6 +427,19 @@ def test_cli_corpus_listing_is_pinned(capsys, tag):
     name = f"corpus--tag-{tag}.txt" if tag else "corpus.txt"
     with open(os.path.join(LISTINGS, name), encoding="utf-8") as fh:
         assert (code, out, err) == (0, fh.read(), "")
+
+
+def test_cli_corpus_unknown_tag_names_the_tags(capsys):
+    """An unknown tag ends like `phl repro --tag`: one stderr line that
+    lists every family and target tag, and exit code 2."""
+    code, out, err = run_cli(capsys, "corpus", "--tag", "nosuch")
+    assert (code, out) == (2, "")
+    head = "no families or targets tagged 'nosuch'; tags: "
+    assert err.startswith(head) and err.endswith("]\n") and err.count("\n") == 1
+    tags = ast.literal_eval(err[len(head):])
+    family_tags = {tag for f in list_corpus()["families"] for tag in f["tags"]}
+    assert tags[:len(all_tags())] == all_tags()
+    assert sorted(tags) == sorted(set(all_tags()) | family_tags)
 
 
 def test_every_pinned_listing_is_a_tag():
