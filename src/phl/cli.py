@@ -45,7 +45,7 @@ def _read_theory(path: str):
 
 
 def _resolve_theory(name: str):
-    if name.endswith(".phl") or os.path.exists(name):
+    if name.endswith(".phl") or os.path.isfile(name):
         return _read_theory(name)
     return get_theory(name)
 

@@ -51,7 +51,7 @@ from .syntax import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelUniverse:
     """The members with their canonical keys, and one memo for every relation
     between members that the closure operators ask about and for each

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .closure import (
+    LAW_SAMPLES,
     ModelClass,
     check_theory_morphism_bounded,
     class_of,
@@ -290,62 +291,95 @@ def _run_semiring_judgments(ctx):
             "compiled-validates": True}
 
 
-def _single_vertex_quiver():
-    return HomQuiver(["a"], [[True]])
+# A family of like targets is a table, one row per target.  Its bound text,
+# runner and expected value all read a parameter from the row's one copy.
 
 
-def _two_antichain_quiver():
-    return HomQuiver(["a", "b"], [[True, False], [False, True]])
+def _sigma_count_targets(*rows):
+    """Rows: name, theory, carrier bound k, components."""
+    return [ReproductionTarget(
+        name, ("sigma-count",),
+        f"components among models with every carrier at most {k}; "
+        "each component already has a representative that small",
+        "pinned", components, _sigma_count(theory, k))
+        for name, theory, k, components in rows]
 
 
-def _s3_subgroup_quiver():
-    quiver, _ = subgroup_category(get_group("s3"))
-    return quiver
+def _acc_targets(*rows):
+    """Rows: name, chain, horizon, stabilized, stage or else witness, provenance,
+    bound with {horizon}."""
+    return [ReproductionTarget(
+        name, ("acc-true" if stabilized else "acc-false",), bound.format(horizon=horizon),
+        provenance, {"stabilized": stabilized, "horizon": horizon,
+                     "stage" if stabilized else "witness": outcome},
+        _acc(chain, horizon))
+        for name, chain, horizon, stabilized, outcome, provenance, bound in rows]
 
 
-_SIGMA_BOUND = ("components among models with every carrier at most {k}; "
-                "each component already has a representative that small")
+def _colimit_targets(*rows):
+    """Rows: name, tags, chain, horizon, provenance, expected, bound with {horizon}."""
+    return [ReproductionTarget(name, tags, bound.format(horizon=horizon), provenance,
+                               expected, _colimit(chain, horizon))
+            for name, tags, chain, horizon, provenance, expected, bound in rows]
+
+
+def _law_report_targets(*rows):
+    """Rows: theory, carrier bound k, what its models are, classes."""
+    return [ReproductionTarget(
+        f"closure-laws-{theory}", ("closure-laws",),
+        f"{models}, carriers at most {k}; all singleton classes plus {LAW_SAMPLES} sampled",
+        "derived", {"classes": classes, "violations": 0}, _law_report(theory, k))
+        for theory, k, models, classes in rows]
+
+
+def _count_targets(*rows):
+    """Rows: name, provenance, {(theory, k): members up to isomorphism}, bound."""
+    return [ReproductionTarget(
+        name, ("enumeration",), bound, provenance,
+        {f"{theory} k={k}": members for (theory, k), members in counts.items()},
+        _universe_counts(*counts))
+        for name, provenance, counts, bound in rows]
+
+
+def _fam_targets(*rows):
+    """Rows: name, tags, base quiver builder, family size m, lattice size,
+    bound with {m}."""
+    return [ReproductionTarget(name, tags, bound.format(m=m), "derived",
+                               {"iso": True, "lattice-size": size}, _fam(base, m))
+            for name, tags, base, m, size, bound in rows]
+
+
+def _gset_targets(*rows):
+    """Rows: group, element bound k, provenance, components."""
+    return [ReproductionTarget(
+        f"gset-{group}", ("gset",), f"actions with at most {k} elements", provenance,
+        {"components": components, "iso": True}, _gset(group, k))
+        for group, k, provenance, components in rows]
+
+
+def _morphism_targets(*rows):
+    """Rows: morphism, carrier bound k, provenance, expected, bound with {k}."""
+    return [ReproductionTarget(f"morphism-{morphism}", ("morphism",), bound.format(k=k),
+                               provenance, expected, _morphism(morphism, k))
+            for morphism, k, provenance, expected, bound in rows]
+
 
 TARGETS = [
-    ReproductionTarget(
-        "sigma-set", ("sigma-count",), _SIGMA_BOUND.format(k=2),
-        "pinned", 2, _sigma_count("set", 2)),
-    ReproductionTarget(
-        "sigma-pos", ("sigma-count",), _SIGMA_BOUND.format(k=2),
-        "pinned", 2, _sigma_count("pos", 2)),
-    ReproductionTarget(
-        "sigma-arrow", ("sigma-count",), _SIGMA_BOUND.format(k=1),
-        "pinned", 3, _sigma_count("arrow", 1)),
-    ReproductionTarget(
-        "sigma-cospan", ("sigma-count",), _SIGMA_BOUND.format(k=2),
-        "pinned", 6, _sigma_count("cospan", 2)),
-    ReproductionTarget(
-        "sigma-urel", ("sigma-count",), _SIGMA_BOUND.format(k=1),
-        "pinned", 3, _sigma_count("urel", 1)),
-    ReproductionTarget(
-        "sigma-per", ("sigma-count",), _SIGMA_BOUND.format(k=2),
-        "pinned", 3, _sigma_count("per", 2)),
-    ReproductionTarget(
-        "sigma-idem", ("sigma-count",), _SIGMA_BOUND.format(k=2),
-        "pinned", 2, _sigma_count("idem", 2)),
-    ReproductionTarget(
-        "sigma-preord", ("sigma-count",), _SIGMA_BOUND.format(k=2),
-        "pinned", 2, _sigma_count("preord", 2)),
-    ReproductionTarget(
-        "sigma-erel", ("sigma-count",), _SIGMA_BOUND.format(k=2),
-        "pinned", 2, _sigma_count("erel", 2)),
-    ReproductionTarget(
-        "bell-1", ("sigma-count",), _SIGMA_BOUND.format(k=1),
-        "pinned", 1, _sigma_count("nset-1", 1)),
-    ReproductionTarget(
-        "bell-2", ("sigma-count",), _SIGMA_BOUND.format(k=2),
-        "pinned", 2, _sigma_count("nset-2", 2)),
-    ReproductionTarget(
-        "bell-3", ("sigma-count",), _SIGMA_BOUND.format(k=3),
-        "pinned", 5, _sigma_count("nset-3", 3)),
-    ReproductionTarget(
-        "bell-4", ("sigma-count",), _SIGMA_BOUND.format(k=4),
-        "pinned", 15, _sigma_count("nset-4", 4)),
+    *_sigma_count_targets(
+        ("sigma-set", "set", 2, 2),
+        ("sigma-pos", "pos", 2, 2),
+        ("sigma-arrow", "arrow", 1, 3),
+        ("sigma-cospan", "cospan", 2, 6),
+        ("sigma-urel", "urel", 1, 3),
+        ("sigma-per", "per", 2, 3),
+        ("sigma-idem", "idem", 2, 2),
+        ("sigma-preord", "preord", 2, 2),
+        ("sigma-erel", "erel", 2, 2),
+        ("bell-1", "nset-1", 1, 1),
+        ("bell-2", "nset-2", 2, 2),
+        ("bell-3", "nset-3", 3, 5),
+        ("bell-4", "nset-4", 4, 15),
+    ),
     ReproductionTarget(
         "lattice-no-backward-homs", ("acc-false",),
         "bounded lattices M_2..M_5; exhaustive hom search per pair",
@@ -361,36 +395,20 @@ TARGETS = [
         "truncated chain diagrams L_0..L_4 over a five sort base",
         "pinned", {"backward-homs": 0, "forward-homs": 10},
         _no_backward_homs([presheaf_L(i) for i in range(0, 5)])),
-    ReproductionTarget(
-        "acc-lattice-chain", ("acc-false",),
-        "stages M_2..M_6 (horizon 4); verdict is one-sided at any horizon",
-        "pinned", {"stabilized": False, "horizon": 4, "witness": [4, 3]},
-        _acc("lattice-chain", 4)),
-    ReproductionTarget(
-        "acc-endo-chain", ("acc-false",),
-        "stages A_1..A_5 (horizon 4); verdict is one-sided at any horizon",
-        "pinned", {"stabilized": False, "horizon": 4, "witness": [4, 3]},
-        _acc("endo-chain", 4)),
-    ReproductionTarget(
-        "acc-presheaf-chain", ("acc-false",),
-        "stages L_0..L_5 (horizon 5); verdict is one-sided at any horizon",
-        "pinned", {"stabilized": False, "horizon": 5, "witness": [5, 4]},
-        _acc("presheaf-chain", 5)),
-    ReproductionTarget(
-        "acc-constant-chain", ("acc-true",),
-        "horizon 4; a constant chain is connected everywhere",
-        "definitional", {"stabilized": True, "horizon": 4, "stage": 0},
-        _acc("constant-set", 4)),
-    ReproductionTarget(
-        "acc-growing-chain", ("acc-true",),
-        "nonempty finite sets, horizon 6; all nonempty sets are connected",
-        "pinned", {"stabilized": True, "horizon": 6, "stage": 0},
-        _acc("growing-set", 6)),
-    ReproductionTarget(
-        "acc-ordinal-chain", ("acc-true",),
-        "descending stage family over a three sort chain base, horizon 6",
-        "derived", {"stabilized": True, "horizon": 6, "stage": 3},
-        _acc("ordinal-chain-2", 6)),
+    *_acc_targets(
+        ("acc-lattice-chain", "lattice-chain", 4, False, [4, 3], "pinned",
+         "stages M_2..M_6 (horizon {horizon}); verdict is one-sided at any horizon"),
+        ("acc-endo-chain", "endo-chain", 4, False, [4, 3], "pinned",
+         "stages A_1..A_5 (horizon {horizon}); verdict is one-sided at any horizon"),
+        ("acc-presheaf-chain", "presheaf-chain", 5, False, [5, 4], "pinned",
+         "stages L_0..L_5 (horizon {horizon}); verdict is one-sided at any horizon"),
+        ("acc-constant-chain", "constant-set", 4, True, 0, "definitional",
+         "horizon {horizon}; a constant chain is connected everywhere"),
+        ("acc-growing-chain", "growing-set", 6, True, 0, "pinned",
+         "nonempty finite sets, horizon {horizon}; all nonempty sets are connected"),
+        ("acc-ordinal-chain", "ordinal-chain-2", 6, True, 3, "derived",
+         "descending stage family over a three sort chain base, horizon {horizon}"),
+    ),
     ReproductionTarget(
         "ordinal-sigma-k2", ("sigma-count", "acc-true"),
         "descending stage family over the three sort chain base, "
@@ -401,19 +419,15 @@ TARGETS = [
         "ordinal-sigma-k3", ("sigma-count", "acc-true"),
         "descending stage family over the four sort chain base",
         "pinned", {"components": 5, "chain": True}, _ordinal_sigma(3)),
-    ReproductionTarget(
-        "colimit-constant", ("colimit",),
-        "horizon 4", "definitional", {"kind": "exact", "stage": 0},
-        _colimit("constant-set", 4)),
-    ReproductionTarget(
-        "colimit-growing", ("colimit",),
-        "horizon 6; carriers keep growing", "definitional",
-        {"kind": "not-stable"}, _colimit("growing-set", 6)),
-    ReproductionTarget(
-        "colimit-ordinal", ("colimit", "acc-true"),
-        "horizon 6; stages agree from the declared stable point on",
-        "derived", {"kind": "exact", "stage": 3},
-        _colimit("ordinal-chain-2", 6)),
+    *_colimit_targets(
+        ("colimit-constant", ("colimit",), "constant-set", 4, "definitional",
+         {"kind": "exact", "stage": 0}, "horizon {horizon}"),
+        ("colimit-growing", ("colimit",), "growing-set", 6, "definitional",
+         {"kind": "not-stable"}, "horizon {horizon}; carriers keep growing"),
+        ("colimit-ordinal", ("colimit", "acc-true"), "ordinal-chain-2", 6, "derived",
+         {"kind": "exact", "stage": 3},
+         "horizon {horizon}; stages agree from the declared stable point on"),
+    ),
     ReproductionTarget(
         "remark-locret-counterexample", ("counterexample",),
         "two step fragment of the unary collapse family, carriers at most 2",
@@ -437,18 +451,11 @@ TARGETS = [
             "merged-in-surjective-closure": True,
             "merged-in-locret-closure": False,
         }, _run_remark_constants),
-    ReproductionTarget(
-        "closure-laws-set", ("closure-laws",),
-        "plain sets, carriers at most 3; all singleton classes plus 10 sampled",
-        "derived", {"classes": 14, "violations": 0}, _law_report("set", 3)),
-    ReproductionTarget(
-        "closure-laws-pos", ("closure-laws",),
-        "posets, carriers at most 3; all singleton classes plus 10 sampled",
-        "derived", {"classes": 19, "violations": 0}, _law_report("pos", 3)),
-    ReproductionTarget(
-        "closure-laws-urel", ("closure-laws",),
-        "marked sets, carriers at most 2; all singleton classes plus 10 sampled",
-        "derived", {"classes": 16, "violations": 0}, _law_report("urel", 2)),
+    *_law_report_targets(
+        ("set", 3, "plain sets", 14),
+        ("pos", 3, "posets", 19),
+        ("urel", 2, "marked sets", 16),
+    ),
     ReproductionTarget(
         "definable-fixpoints", ("closure-laws",),
         "six theory and sequent-set pairs, carriers at most 3",
@@ -480,85 +487,53 @@ TARGETS = [
         "closure-hloc-two-point", ("closure",),
         "plain sets, carriers at most 2", "derived",
         {"count": 2, "has-empty": False}, _run_closure_hloc_two_point),
-    ReproductionTarget(
-        "universe-counts", ("enumeration",),
-        "model counts up to isomorphism at the stated carrier bounds",
-        "derived", {
-            "set k=3": 4, "pos k=2": 4, "pos k=3": 9, "pos k=4": 25,
-            "urel k=1": 3, "urel k=2": 6, "per k=2": 7, "preord k=2": 5,
-            "erel k=2": 4, "idem k=2": 4, "arrow k=1": 3,
-            "remark-locret-2 k=2": 10,
-        }, _universe_counts(
-            ("set", 3), ("pos", 2), ("pos", 3), ("pos", 4), ("urel", 1),
-            ("urel", 2), ("per", 2), ("preord", 2), ("erel", 2), ("idem", 2),
-            ("arrow", 1), ("remark-locret-2", 2))),
-    ReproductionTarget(
-        "published-counts", ("enumeration",),
-        "models up to isomorphism with every carrier at most k, so each "
-        "value sums a sequence over sizes 0..k: posets OEIS A000112, "
-        "preorders A001930, simple graphs (erel) A000088, groups A000001 "
-        "(no empty group, orders 1..3)",
-        "published", {
-            "pos k=4": 25, "preord k=3": 14, "preord k=4": 47,
-            "erel k=3": 8, "erel k=4": 19, "group k=3": 3,
-        }, _universe_counts(
-            ("pos", 4), ("preord", 3), ("preord", 4), ("erel", 3), ("erel", 4),
-            ("group", 3))),
-    ReproductionTarget(
-        "published-counts-k5", ("enumeration",),
-        "models up to isomorphism with every carrier at most 5, summed over "
-        "sizes 0..5: posets OEIS A000112, preorders A001930, simple graphs "
-        "(erel) A000088",
-        "published", {"pos k=5": 88, "preord k=5": 186, "erel k=5": 53},
-        _universe_counts(("pos", 5), ("preord", 5), ("erel", 5))),
-    ReproductionTarget(
-        "fam-single-vertex", ("fam",),
-        "families of at most 2 copies of one object", "derived",
-        {"iso": True, "lattice-size": 2}, _fam(_single_vertex_quiver, 2)),
-    ReproductionTarget(
-        "fam-two-antichain", ("fam",),
-        "families of at most 2 objects over a 2-antichain", "derived",
-        {"iso": True, "lattice-size": 4}, _fam(_two_antichain_quiver, 2)),
-    ReproductionTarget(
-        "fam-s3-subgroups", ("fam", "gset"),
-        "families of at most 4 subgroup classes", "derived",
-        {"iso": True, "lattice-size": 6}, _fam(_s3_subgroup_quiver, 4)),
-    ReproductionTarget(
-        "gset-trivial", ("gset",),
-        "actions with at most 2 elements", "derived",
-        {"components": 2, "iso": True}, _gset("trivial", 2)),
-    ReproductionTarget(
-        "gset-c2", ("gset",),
-        "actions with at most 4 elements", "pinned",
-        {"components": 3, "iso": True}, _gset("c2", 4)),
-    ReproductionTarget(
-        "gset-c4", ("gset",),
-        "actions with at most 12 elements", "derived",
-        {"components": 4, "iso": True}, _gset("c4", 12)),
-    ReproductionTarget(
-        "gset-s3", ("gset",),
-        "actions with at most 24 elements", "pinned",
-        {"components": 6, "iso": True}, _gset("s3", 24)),
+    *_count_targets(
+        ("universe-counts", "derived", {
+            ("set", 3): 4, ("pos", 2): 4, ("pos", 3): 9, ("pos", 4): 25, ("urel", 1): 3,
+            ("urel", 2): 6, ("per", 2): 7, ("preord", 2): 5, ("erel", 2): 4, ("idem", 2): 4,
+            ("arrow", 1): 3, ("remark-locret-2", 2): 10,
+        }, "model counts up to isomorphism at the stated carrier bounds"),
+        ("published-counts", "published", {
+            ("pos", 4): 25, ("preord", 3): 14, ("preord", 4): 47, ("erel", 3): 8,
+            ("erel", 4): 19, ("group", 3): 3,
+        }, "models up to isomorphism with every carrier at most k, so each "
+           "value sums a sequence over sizes 0..k: posets OEIS A000112, "
+           "preorders A001930, simple graphs (erel) A000088, groups A000001 "
+           "(no empty group, orders 1..3)"),
+        ("published-counts-k5", "published", {("pos", 5): 88, ("preord", 5): 186, ("erel", 5): 53},
+         "models up to isomorphism with every carrier at most 5, summed over "
+         "sizes 0..5: posets OEIS A000112, preorders A001930, simple graphs "
+         "(erel) A000088"),
+    ),
+    *_fam_targets(
+        ("fam-single-vertex", ("fam",), lambda: HomQuiver(["a"], [[True]]), 2, 2,
+         "families of at most {m} copies of one object"),
+        ("fam-two-antichain", ("fam",),
+         lambda: HomQuiver(["a", "b"], [[True, False], [False, True]]), 2, 4,
+         "families of at most {m} objects over a 2-antichain"),
+        ("fam-s3-subgroups", ("fam", "gset"), lambda: subgroup_category(get_group("s3"))[0],
+         4, 6, "families of at most {m} subgroup classes"),
+    ),
+    *_gset_targets(
+        ("trivial", 2, "derived", 2),
+        ("c2", 4, "pinned", 3),
+        ("c4", 12, "derived", 4),
+        ("s3", 24, "pinned", 6),
+    ),
     ReproductionTarget(
         "subgroup-counts", ("gset",),
         "brute force over all subsets containing the identity",
         "derived", [1, 2, 3, 6], _run_subgroup_counts),
-    ReproductionTarget(
-        "morphism-pos-id", ("morphism",),
-        "all poset models with carriers at most 3",
-        "definitional", {"kind": "no-counterexample"}, _morphism("pos-id", 3)),
-    ReproductionTarget(
-        "morphism-pos-to-brel", ("morphism",),
-        "all binary relation models with carriers at most 3; the first "
-        "witness in universe order is a point with an empty relation, "
-        "violating translated reflexivity",
-        "derived", {"kind": "countermodel", "witness-size": 1},
-        _morphism("pos-to-brel", 3)),
-    ReproductionTarget(
-        "morphism-pointed-to-group", ("morphism",),
-        "all group models with carriers at most 3",
-        "derived", {"kind": "no-counterexample"},
-        _morphism("pointed-to-group", 3)),
+    *_morphism_targets(
+        ("pos-id", 3, "definitional", {"kind": "no-counterexample"},
+         "all poset models with carriers at most {k}"),
+        ("pos-to-brel", 3, "derived", {"kind": "countermodel", "witness-size": 1},
+         "all binary relation models with carriers at most {k}; the first "
+         "witness in universe order is a point with an empty relation, "
+         "violating translated reflexivity"),
+        ("pointed-to-group", 3, "derived", {"kind": "no-counterexample"},
+         "all group models with carriers at most {k}"),
+    ),
     ReproductionTarget(
         "semiring-judgments", ("relative",),
         "the eight ordered semiring judgments over the poset base",

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -189,6 +190,44 @@ def test_enumeration_agrees_with_naive_oracle_everywhere():
             (R,) = [R for R in reps.get(profile(X), []) if perm_isomorphic(X, R)]
             assert (X.carriers, X.functions, X.relations) == \
                 (R.carriers, R.functions, R.relations), (name, X.name)
+
+
+def labelled_counts(U):
+    """Labelled models per carrier-size vector, by orbit-stabilizer: member
+    X stands for prod n_s! / |Aut X| of them.  |Aut X| counts the injective
+    homs X -> X, which on a finite structure are its automorphisms, so the
+    count shares no code with the orderly search or canonical keys."""
+    counts = Counter()
+    for i, X in enumerate(U.members):
+        sizes = tuple(len(X.carrier(s)) for s in U.theory.signature.sorts)
+        automorphisms = sum(1 for _ in U.plan(i).homs(U.plan(i), injective=True))
+        labelled, rest = divmod(math.prod(map(math.factorial, sizes)), automorphisms)
+        assert rest == 0, X.name
+        counts[sizes] += labelled
+    return counts
+
+
+@pytest.mark.parametrize("name, per_size", [
+    ("pos", [1, 1, 3, 19, 219, 4231]),  # OEIS A001035
+    ("preord", [1, 1, 4, 29, 355, 6942]),  # OEIS A000798
+    ("erel", [1, 1, 2, 8, 64, 1024]),  # OEIS A006125
+])
+def test_labelled_counts_are_the_published_sequence(name, per_size):
+    counts = labelled_counts(enumerate_models(get_theory(name), 5))
+    assert counts == {(n,): m for n, m in enumerate(per_size)}
+
+
+@pytest.mark.parametrize("name, k", [
+    ("set", 3), ("urel", 3), ("per", 3), ("idem", 3), ("end", 3),
+    ("arrow", 2), ("cospan", 2),
+])
+def test_labelled_counts_match_a_brute_force(name, k):
+    """Every carrier-size vector counts the labelled models the naive oracle
+    walks; a missing or a doubled class would move some vector's sum."""
+    theory = get_theory(name)
+    brute = Counter(tuple(len(X.carrier(s)) for s in theory.signature.sorts)
+                    for X in naive_labeled_models(theory, k))
+    assert labelled_counts(enumerate_models(theory, k)) == brute
 
 
 def test_enumeration_budget_error_says_where_it_stopped(monkeypatch):
@@ -611,6 +650,26 @@ def test_a_dropped_universe_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_class_compares_by_universe_identity_and_indices():
+    """A universe is its identity, so what its memo holds changes neither
+    equality nor hash of the classes over it."""
+    U1 = enumerate_models(get_theory("pos"), 2)
+    U2 = enumerate_models(get_theory("pos"), 2)
+    assert U1 is not U2
+
+    def answers():
+        return (ModelClass(U1, frozenset([1])) == ModelClass(U2, frozenset([1])),
+                ModelClass(U2, frozenset([1])) == ModelClass(U2, frozenset([1])),
+                hash(ModelClass(U2, frozenset([1]))))
+
+    before = answers()
+    closure_Sc(ModelClass(U2, frozenset([1])))
+    hsp_closure(ModelClass(U2, frozenset([1])))
+    assert answers() == before
+    assert before[:2] == (False, True)
+    assert len({ModelClass(U2, frozenset([1])), ModelClass(U2, frozenset([1]))}) == 1
 
 
 def test_closure_sc_adds_only_induced_substructures():

@@ -188,6 +188,25 @@ def test_cli_models_accepts_max_size_zero(capsys):
     assert out.startswith("1 models of set")
 
 
+def test_cli_models_reads_a_corpus_name_beside_a_directory_of_that_name(
+        tmp_path, monkeypatch, capsys):
+    """Only a `.phl` name or an existing regular file is read as a file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pos").mkdir()
+    code, out, err = run_cli(capsys, "models", "pos", "--max-size", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("2 models of pos")
+
+
+def test_cli_models_reads_a_regular_file_named_like_a_theory(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pos").write_text(print_theory(get_theory("set")))
+    code, out, err = run_cli(capsys, "models", "pos", "--max-size", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("2 models of set")
+
+
 def test_cli_hom_found_and_missing(tmp_path, capsys):
     c2, c4 = cycle_endo(2), cycle_endo(4)
     p2, p4 = tmp_path / "c2.json", tmp_path / "c4.json"
@@ -442,8 +461,17 @@ def test_cli_corpus_unknown_tag_names_the_tags(capsys):
     assert sorted(tags) == sorted(set(all_tags()) | family_tags)
 
 
+def test_cli_repro_list_is_pinned(capsys):
+    """`phl repro --list` prints every target's name, tags, provenance and
+    bound in registry order; the report digest covers neither tags nor order."""
+    code, out, err = run_cli(capsys, "repro", "--list")
+    with open(os.path.join(LISTINGS, "repro-list.txt"), encoding="utf-8") as fh:
+        assert (code, out, err) == (0, fh.read(), "")
+
+
 def test_every_pinned_listing_is_a_tag():
-    names = {"corpus.txt"} | {f"corpus--tag-{tag}.txt" for tag in all_tags()}
+    names = ({"corpus.txt", "repro-list.txt"}
+             | {f"corpus--tag-{tag}.txt" for tag in all_tags()})
     assert set(os.listdir(LISTINGS)) == names
 
 
